@@ -36,7 +36,6 @@ from .generators import (
 from .graph import (
     DirectedGraph,
     KirchhoffReport,
-    beta,
     boundaries,
     build_graph,
     check_kirchhoff,
@@ -56,6 +55,7 @@ from .isoperimetric import (
     InfinityProfile,
     LevelProfile,
     build_filtration,
+    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     infinity_profile,
@@ -79,6 +79,7 @@ from .spectral import (
     NumericalRangeBoundary,
     Spectrum,
     eig,
+    hermitian_part,
     kernel_dimension,
     numerical_range_boundary,
     nu,

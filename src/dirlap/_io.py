@@ -1,10 +1,23 @@
-"""Small file-output helpers: atomic writes and canonical JSON dumping."""
+"""Small file helpers: JSON reading, atomic writes and canonical JSON dumping."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+
+from .errors import InputParseError
+
+
+def read_json(path: str):
+    """Parse a JSON file. Raises InputParseError on unreadable or invalid files."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def write_text_atomic(path: str, text: str) -> None:

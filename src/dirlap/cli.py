@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 
-from ._io import dump_json, write_text_atomic
+from ._io import dump_json, read_json, write_text_atomic
 from .errors import DirlapError, InputParseError
 from .generators import (
-    corpus,
     gen_cycle,
     gen_layered_heavy,
     gen_opposing_cycles,
@@ -26,6 +25,7 @@ from .generators import (
 from .graph import check_kirchhoff, graph_from_json_obj, load_graph, save_graph
 from .isoperimetric import (
     build_filtration,
+    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     infinity_profile,
@@ -39,7 +39,7 @@ from .operators import (
     operator_to_json_obj,
 )
 from .spectral import eig, numerical_range_boundary
-from .verify import verify_graph
+from .verify import verify_corpus, verify_graph
 
 _OP_CHOICES = {
     "delta": "delta",
@@ -64,45 +64,30 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_omega(args) -> list[int] | None:
     if getattr(args, "omega", None) is not None:
-        raw = args.omega
-    elif getattr(args, "omega_file", None) is not None:
         try:
-            with open(args.omega_file) as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputParseError(f"cannot read {args.omega_file}: {exc}") from exc
+            ids = json.loads(args.omega)
+        except json.JSONDecodeError as exc:
+            raise InputParseError(f"omega must be a JSON array of ids: {exc}") from exc
+    elif getattr(args, "omega_file", None) is not None:
+        ids = read_json(args.omega_file)
     else:
         return None
-    try:
-        ids = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"omega must be a JSON array of ids: {exc}") from exc
-    if not isinstance(ids, list) or not all(isinstance(v, int) for v in ids):
+    # bool is a subclass of int, but true/false are not vertex ids
+    if not isinstance(ids, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in ids
+    ):
         raise InputParseError("omega must be a JSON array of integer ids")
     return ids
 
 
-def _load_graph_or_operator(path: str):
-    """Return ('graph', g) or ('operator', op) depending on the JSON shape."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
-    if isinstance(obj, dict) and "matrix" in obj:
-        return "operator", operator_from_json_obj(obj)
-    return "graph", graph_from_json_obj(obj)
-
-
 def _resolve_operator(args):
-    """Build the operator a spectrum/numrange invocation refers to."""
-    what, loaded = _load_graph_or_operator(args.input)
-    if what == "operator":
-        op = loaded
+    """Build the operator a spectrum/numrange invocation refers to: an
+    exported operator file as is, or the --op operator of a graph file."""
+    obj = read_json(args.input)
+    if isinstance(obj, dict) and "matrix" in obj:
+        op = operator_from_json_obj(obj)
     else:
-        op = assemble(loaded, _OP_CHOICES[args.op])
+        op = assemble(graph_from_json_obj(obj), _OP_CHOICES[args.op])
     omega = _parse_omega(args)
     if omega is not None:
         op = dirichlet(op, omega)
@@ -170,13 +155,8 @@ def _cmd_cheeger(args) -> int:
     omega = _parse_omega(args)
     if omega is None:
         omega = list(range(g.n))
-    if args.mode == "exact":
-        result = cheeger_exact(g, omega, args.normalization)
-    elif args.mode == "heuristic":
-        result = cheeger_heuristic(g, omega, args.normalization)
-    else:  # auto
-        solve = cheeger_exact if len(set(omega)) <= MAX_EXACT_SUBSET else cheeger_heuristic
-        result = solve(g, omega, args.normalization)
+    solve = {"auto": cheeger, "exact": cheeger_exact, "heuristic": cheeger_heuristic}[args.mode]
+    result = solve(g, omega, args.normalization)
     _emit(dump_json(result.to_json_obj()), args.out)
     return 0
 
@@ -185,9 +165,7 @@ def _cmd_verify(args) -> int:
     if args.family is not None:
         if args.family != "corpus":
             raise InputParseError(f"unknown family {args.family!r}, expected 'corpus'")
-        reports = []
-        for name, g in corpus():
-            reports.extend(verify_graph(g, name))
+        reports = verify_corpus()
     else:
         if args.input is None:
             raise InputParseError("verify needs a graph file or --family corpus")

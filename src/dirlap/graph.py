@@ -14,19 +14,16 @@ measures how far a graph is from it.
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import dump_json, write_text_atomic
+from ._io import dump_json, read_json, write_text_atomic
 from .errors import (
     DuplicateEdgeError,
     EmptySubsetError,
-    InputParseError,
     IsolatedDirectionError,
     NonPositiveMeasureError,
     NonPositiveWeightError,
@@ -36,6 +33,22 @@ from .errors import (
 
 # Relative tolerance (against max beta_plus) used when none is given.
 KIRCHHOFF_DEFAULT_REL_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """Both orientations of every edge, grouped by the vertex that owns them.
+
+    Entry e belongs to vertex owner[e] and joins it to nbr[e] with weight
+    weight[e]; outgoing[e] tells whether the edge runs owner -> nbr. owner
+    is sorted, and within one owner the entries keep the edge-list order, so
+    a per-vertex sum taken in entry order (np.bincount) adds in edge order.
+    """
+
+    owner: np.ndarray
+    nbr: np.ndarray
+    weight: np.ndarray
+    outgoing: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +94,16 @@ class DirectedGraph:
         return B
 
     @cached_property
-    def undirected_adjacency(self) -> list[list[int]]:
-        """Neighbor lists of the undirected skeleton {x, y} in E."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in zip(self.edge_from.tolist(), self.edge_to.tolist()):
-            adj[u].add(v)
-            adj[v].add(u)
-        return [sorted(s) for s in adj]
+    def adjacency(self) -> Adjacency:
+        """The edge list seen from both endpoints; see Adjacency."""
+        # interleave (from, to) per edge, so even positions are outgoing
+        ends = np.stack([self.edge_from, self.edge_to], axis=1).ravel()
+        others = np.stack([self.edge_to, self.edge_from], axis=1).ravel()
+        order = np.argsort(ends, kind="stable")
+        arrays = (ends[order], others[order], np.repeat(self.edge_weight, 2)[order], order % 2 == 0)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return Adjacency(*arrays)
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """Iterate (from, to, weight) triples in canonical order."""
@@ -142,6 +158,9 @@ def build_graph(
         raise NonPositiveMeasureError(
             f"measure of vertex {int(bad[0])} is {m[bad[0]]!r}, must be > 0"
         )
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        raise SchemaViolationError(f"measure of vertex {int(bad[0])} is not finite")
 
     triples = [(int(u), int(v), float(w)) for u, v, w in edges]
     for u, v, w in triples:
@@ -159,6 +178,10 @@ def build_graph(
     ef = np.asarray([t[0] for t in triples], dtype=np.int64)
     et = np.asarray([t[1] for t in triples], dtype=np.int64)
     ew = np.asarray([t[2] for t in triples], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(ew))
+    if bad.size:
+        i = int(bad[0])
+        raise SchemaViolationError(f"edge ({ef[i]}, {et[i]}) has a weight that is not finite")
     for arr in (m, ef, et, ew):
         arr.flags.writeable = False
     g = DirectedGraph(n=n, measure=m, edge_from=ef, edge_to=et, edge_weight=ew)
@@ -170,11 +193,6 @@ def build_graph(
     if dead.size:
         raise IsolatedDirectionError(f"vertex {int(dead[0])} has no incoming weight")
     return g
-
-
-def beta(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Return (beta_plus, beta_minus): out- and in-weight per vertex."""
-    return g.beta_plus, g.beta_minus
 
 
 def check_kirchhoff(g: DirectedGraph, tol: float | None = None) -> KirchhoffReport:
@@ -221,16 +239,33 @@ def boundaries(
     inside = np.zeros(g.n, dtype=bool)
     inside[idx] = True
     crossing = inside[g.edge_from] ^ inside[g.edge_to]
-    edge_boundary = [
-        (int(u), int(v), float(w))
-        for u, v, w in zip(
-            g.edge_from[crossing], g.edge_to[crossing], g.edge_weight[crossing]
-        )
-    ]
-    touched: set[int] = set()
-    for u, v, _ in edge_boundary:
-        touched.add(u if inside[u] else v)
-    return sorted(touched), edge_boundary
+    tails, heads = g.edge_from[crossing], g.edge_to[crossing]
+    edge_boundary = list(zip(tails.tolist(), heads.tolist(), g.edge_weight[crossing].tolist()))
+    touched = np.unique(np.where(inside[tails], tails, heads))
+    return touched.tolist(), edge_boundary
+
+
+def hop_distances(
+    g: DirectedGraph, root: int, along: np.ndarray | None = None
+) -> np.ndarray:
+    """Breadth-first edge counts from root, -1 where root does not reach.
+
+    along selects the adjacency entries that may be walked (owner -> nbr);
+    by default all of them, which walks the undirected skeleton.
+    """
+    adj = g.adjacency
+    owner, nbr = (adj.owner, adj.nbr) if along is None else (adj.owner[along], adj.nbr[along])
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[root] = 0
+    frontier = dist == 0
+    hops = 0
+    while frontier.any():
+        hops += 1
+        reached = np.zeros(g.n, dtype=bool)
+        reached[nbr[frontier[owner]]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = hops
+    return dist
 
 
 def connectivity(g: DirectedGraph) -> tuple[bool, bool]:
@@ -240,30 +275,11 @@ def connectivity(g: DirectedGraph) -> tuple[bool, bool]:
     strongly_connected: every vertex reaches every other along directed
     edges. The second implies the first.
     """
-
-    def _reach(adj: Sequence[Sequence[int]], start: int) -> int:
-        seen = np.zeros(g.n, dtype=bool)
-        seen[start] = True
-        queue = deque([start])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        return count
-
-    undirected = g.undirected_adjacency
-    connected = _reach(undirected, 0) == g.n
-
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    bwd: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in zip(g.edge_from.tolist(), g.edge_to.tolist()):
-        fwd[u].append(v)
-        bwd[v].append(u)
-    strong = _reach(fwd, 0) == g.n and _reach(bwd, 0) == g.n
+    out = g.adjacency.outgoing
+    connected = bool(np.all(hop_distances(g, 0) >= 0))
+    strong = bool(
+        np.all(hop_distances(g, 0, out) >= 0) and np.all(hop_distances(g, 0, ~out) >= 0)
+    )
     return connected, strong
 
 
@@ -327,14 +343,7 @@ def graph_from_json_obj(obj) -> DirectedGraph:
 
 def load_graph(path: str) -> DirectedGraph:
     """Read a graph JSON file. Raises InputParseError on unreadable files."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
-    return graph_from_json_obj(obj)
+    return graph_from_json_obj(read_json(path))
 
 
 def save_graph(g: DirectedGraph, path: str) -> None:

@@ -12,7 +12,8 @@ the one-directional cut.
 
 cheeger_exact enumerates every subset of Omega (cap: |Omega| <= 22) with
 vectorized bitmask tables; cheeger_heuristic runs a spectral sweep cut plus
-greedy single-vertex exchange and returns an upper bound.
+greedy single-vertex exchange and returns an upper bound; cheeger picks the
+first when Omega is small enough and the second otherwise.
 
 A filtration is a nested exhausting family of connected subsets; profiling
 the complements (min/max vertex ratios, Cheeger constants, Dirichlet
@@ -22,7 +23,6 @@ heavy ends, where the complements' weight-to-measure ratio blows up.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,9 +34,9 @@ from .errors import (
     EmptySubsetError,
     SubsetTooLargeError,
 )
-from .graph import DirectedGraph, connectivity, subset_array
-from .operators import assemble, dirichlet
-from .spectral import nu
+from .graph import DirectedGraph, hop_distances, subset_array
+from .operators import assemble, dirichlet, to_euclidean
+from .spectral import converging, hermitian_part, nu
 
 MAX_EXACT_SUBSET = 22
 NORMALIZATIONS = ("measure", "beta_plus")
@@ -90,25 +90,21 @@ def _cut_table(g: DirectedGraph, idx: np.ndarray) -> np.ndarray:
     """table[S] = total weight of directed edges leaving or entering the
     subset of idx encoded by bitmask S (boundary taken in the full graph)."""
     k = idx.size
+    adj = g.adjacency
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)
-    ext = np.zeros(k)
-    internal: dict[tuple[int, int], float] = {}
-    for u, v, w in zip(
-        g.edge_from.tolist(), g.edge_to.tolist(), g.edge_weight.tolist()
-    ):
-        pu, pv = int(pos[u]), int(pos[v])
-        if pu >= 0 and pv >= 0:
-            key = (pu, pv) if pu < pv else (pv, pu)
-            internal[key] = internal.get(key, 0.0) + w
-        elif pu >= 0:
-            ext[pu] += w
-        elif pv >= 0:
-            ext[pv] += w
+    p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
+    leaving = (p_own >= 0) & (p_nbr < 0)
+    ext = np.bincount(p_own[leaving], weights=adj.weight[leaving], minlength=k)
     cut = _subset_sums(ext)
-    if internal:
+    # each internal pair i < j, seen from i, with the weights of both directions summed
+    inner = (p_own >= 0) & (p_own < p_nbr)
+    pairs, which = np.unique(p_own[inner] * k + p_nbr[inner], return_inverse=True)
+    if pairs.size:
+        pair_weight = np.bincount(which, weights=adj.weight[inner])
         masks = np.arange(1 << k, dtype=np.uint32)
-        for (i, j), w in sorted(internal.items()):
+        for key, w in zip(pairs.tolist(), pair_weight.tolist()):
+            i, j = divmod(key, k)
             cut += w * (((masks >> i) ^ (masks >> j)) & 1)
     return cut
 
@@ -146,47 +142,23 @@ def cheeger_exact(
     )
 
 
-class _SweepState:
-    """Incrementally tracked cut and denominator of a growing/changing subset."""
+def _toggle_deltas(g: DirectedGraph, crossed: np.ndarray) -> np.ndarray:
+    """Per vertex, the change in cut weight when it switches sides, given
+    whether each adjacency entry crosses the cut before the switch."""
+    adj = g.adjacency
+    return np.bincount(adj.owner, weights=adj.weight * (1.0 - 2.0 * crossed), minlength=g.n)
 
-    def __init__(self, g: DirectedGraph, denom_vals: np.ndarray):
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-        for u, v, w in zip(
-            g.edge_from.tolist(), g.edge_to.tolist(), g.edge_weight.tolist()
-        ):
-            self.adj[u].append((v, w))
-            self.adj[v].append((u, w))
-        self.denom_vals = denom_vals
-        self.in_u = np.zeros(g.n, dtype=bool)
-        self.cut = 0.0
-        self.denom = 0.0
-        self.size = 0
 
-    def toggle_delta(self, x: int) -> float:
-        """Change in cut if membership of x were flipped."""
-        delta = 0.0
-        for y, w in self.adj[x]:
-            crossed = self.in_u[x] ^ self.in_u[y]
-            delta += w * (1.0 - 2.0 * crossed)
-        return delta
-
-    def toggle(self, x: int) -> None:
-        self.cut += self.toggle_delta(x)
-        if self.in_u[x]:
-            self.denom -= self.denom_vals[x]
-            self.size -= 1
-        else:
-            self.denom += self.denom_vals[x]
-            self.size += 1
-        self.in_u[x] = not self.in_u[x]
-
-    def ratio_after_toggle(self, x: int) -> float:
-        new_cut = self.cut + self.toggle_delta(x)
-        if self.in_u[x]:
-            new_denom = self.denom - self.denom_vals[x]
-        else:
-            new_denom = self.denom + self.denom_vals[x]
-        return new_cut / new_denom
+def _prefix_sweep(
+    g: DirectedGraph, ordering: np.ndarray, denom_vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut and denominator of every prefix of ordering, each vertex added
+    to the previous prefix in turn."""
+    adj = g.adjacency
+    rank = np.full(g.n, ordering.size)
+    rank[ordering] = np.arange(ordering.size)
+    deltas = _toggle_deltas(g, rank[adj.nbr] < rank[adj.owner])
+    return np.cumsum(deltas[ordering]), np.cumsum(denom_vals[ordering])
 
 
 def cheeger_heuristic(
@@ -203,59 +175,69 @@ def cheeger_heuristic(
     idx = subset_array(g, omega)
     k = idx.size
 
-    order: list[int]
     if k == 1:
-        order = [int(idx[0])]
+        order = idx
     else:
         kind = "h" if normalization == "measure" else "normalized_h"
         op = dirichlet(assemble(g, kind), idx)
-        sym = np.sqrt(op.metric)
-        a = op.matrix * (sym[:, None] / sym[None, :])
-        _, vecs = np.linalg.eigh(0.5 * (a + a.T))
-        f = vecs[:, 1] / sym
-        order = [int(idx[i]) for i in np.argsort(f, kind="stable")]
+        with converging():
+            _, vecs = np.linalg.eigh(hermitian_part(to_euclidean(op)))
+        f = vecs[:, 1] / np.sqrt(op.metric)
+        order = idx[np.argsort(f, kind="stable")]
 
-    best_value = np.inf
-    best_set: tuple[int, ...] = ()
+    # candidates in turn: prefixes of order, prefixes of its reverse, and
+    # singletons (whose cut is their total edge weight); the first smallest
+    # ratio wins
+    sweeps = [_prefix_sweep(g, ordering, denom_vals) for ordering in (order, order[::-1])]
+    degrees = _toggle_deltas(g, np.zeros(g.adjacency.owner.size, dtype=bool))
+    ratios = np.concatenate(
+        [cut / denom for cut, denom in sweeps] + [degrees[order] / denom_vals[order]]
+    )
+    best = int(np.argmin(ratios))
+    if best < 2 * k:
+        ordering = order if best < k else order[::-1]
+        best_set = np.sort(ordering[: best % k + 1])
+    else:
+        best_set = order[best - 2 * k : best - 2 * k + 1]
 
-    def consider(value: float, members: Iterable[int]) -> None:
-        nonlocal best_value, best_set
-        if value < best_value:
-            best_value = value
-            best_set = tuple(int(v) for v in sorted(members))
-
-    for ordering in (order, order[::-1]):
-        state = _SweepState(g, denom_vals)
-        for x in ordering:
-            state.toggle(x)
-            consider(state.cut / state.denom, np.flatnonzero(state.in_u))
-
-    singleton_state = _SweepState(g, denom_vals)
-    for x in order:
-        consider(singleton_state.toggle_delta(x) / denom_vals[x], (x,))
-
-    state = _SweepState(g, denom_vals)
-    for x in best_set:
-        state.toggle(x)
-    current = state.cut / state.denom
+    cuts, denoms = _prefix_sweep(g, best_set, denom_vals)
+    cut, denom = cuts[-1], denoms[-1]
+    current = cut / denom
+    in_u = np.zeros(g.n, dtype=bool)
+    in_u[best_set] = True
+    adj = g.adjacency
     for _ in range(1000 + 10 * k):
-        best_move = -1
-        best_ratio = current
-        for x in order:
-            if state.in_u[x] and state.size == 1:
-                continue
-            r = state.ratio_after_toggle(x)
-            if r < best_ratio:
-                best_ratio = r
-                best_move = x
-        if best_move < 0:
+        deltas = _toggle_deltas(g, in_u[adj.owner] ^ in_u[adj.nbr])[order]
+        leaving = in_u[order]
+        new_denoms = np.where(leaving, denom - denom_vals[order], denom + denom_vals[order])
+        # the last member may not leave
+        movable = ~leaving if np.count_nonzero(leaving) == 1 else slice(None)
+        ratios = np.full(k, np.inf)
+        ratios[movable] = (cut + deltas[movable]) / new_denoms[movable]
+        move = int(np.argmin(ratios))
+        if not ratios[move] < current:
             break
-        state.toggle(best_move)
-        current = best_ratio
-    members = tuple(int(v) for v in np.flatnonzero(state.in_u))
+        cut += deltas[move]
+        denom = new_denoms[move]
+        in_u[order[move]] = not leaving[move]
+        current = ratios[move]
+    members = tuple(np.flatnonzero(in_u).tolist())
     return CheegerResult(
         value=float(current), witness=members, mode="upper_bound", normalization=normalization
     )
+
+
+def cheeger(
+    g: DirectedGraph,
+    omega: Iterable[int],
+    normalization: str = "measure",
+    budget: int = MAX_EXACT_SUBSET,
+) -> CheegerResult:
+    """Exact constant when |omega| <= min(budget, 22), otherwise the
+    heuristic upper bound; the result's mode says which one ran."""
+    idx = subset_array(g, omega)
+    solve = cheeger_exact if idx.size <= min(budget, MAX_EXACT_SUBSET) else cheeger_heuristic
+    return solve(g, idx, normalization)
 
 
 def m_M_constants(g: DirectedGraph, omega: Iterable[int]) -> tuple[float, float]:
@@ -286,19 +268,9 @@ def build_filtration(g: DirectedGraph, root: int) -> Filtration:
     """
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range 0..{g.n - 1}")
-    connected, _ = connectivity(g)
-    if not connected:
+    dist = hop_distances(g, root)
+    if np.any(dist < 0):
         raise DisconnectedError("filtration needs a connected graph")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[root] = 0
-    queue = deque([root])
-    adj = g.undirected_adjacency
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
     levels = []
     for r in range(int(dist.max()) + 1):
         levels.append(tuple(int(v) for v in np.flatnonzero(dist <= r)))
@@ -365,7 +337,6 @@ def infinity_profile(
     """
     if len(filt.levels) < 2:
         raise ValueError("filtration needs at least 2 levels")
-    budget = min(int(budget), MAX_EXACT_SUBSET)
     delta = assemble(g, "delta")
     all_ids = frozenset(range(g.n))
     rows: list[LevelProfile] = []
@@ -374,9 +345,8 @@ def infinity_profile(
         if not comp:
             continue
         m_c, M_c = m_M_constants(g, comp)
-        solve = cheeger_exact if len(comp) <= budget else cheeger_heuristic
-        h = solve(g, comp, "measure")
-        ht = solve(g, comp, "beta_plus")
+        h = cheeger(g, comp, "measure", budget)
+        ht = cheeger(g, comp, "beta_plus", budget)
         nu_d = nu(dirichlet(delta, comp))
         rows.append(
             LevelProfile(

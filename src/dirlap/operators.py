@@ -131,6 +131,19 @@ def metric_inner(metric: np.ndarray, f: np.ndarray, h: np.ndarray) -> complex:
     return complex(np.sum(metric * np.asarray(f) * np.conj(h)))
 
 
+def _green_terms(
+    g: DirectedGraph, delta: np.ndarray, f: np.ndarray, h: np.ndarray
+) -> tuple[complex, complex, complex]:
+    """The three terms (delta f, h)_m, conj((delta h, f)_m) and
+    sum_edges b(x,y) (f(x)-f(y)) conj(h(x)-h(y)) of summation by parts."""
+    t1 = metric_inner(g.measure, delta @ f, h)
+    t2 = np.conj(metric_inner(g.measure, delta @ h, f))
+    df = f[g.edge_from] - f[g.edge_to]
+    dh = h[g.edge_from] - h[g.edge_to]
+    t3 = complex(np.sum(g.edge_weight * df * np.conj(dh)))
+    return t1, t2, t3
+
+
 def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float:
     """Defect of the summation-by-parts identity on a balanced graph.
 
@@ -147,12 +160,7 @@ def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float:
         )
     f = np.asarray(f, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    D = assemble(g, "delta").matrix
-    t1 = metric_inner(g.measure, D @ f, h)
-    t2 = np.conj(metric_inner(g.measure, D @ h, f))
-    df = f[g.edge_from] - f[g.edge_to]
-    dh = h[g.edge_from] - h[g.edge_to]
-    t3 = complex(np.sum(g.edge_weight * df * np.conj(dh)))
+    t1, t2, t3 = _green_terms(g, assemble(g, "delta").matrix, f, h)
     return abs(t1 + t2 - t3)
 
 
@@ -194,6 +202,8 @@ def operator_from_json_obj(obj) -> Operator:
         raise SchemaViolationError("metric length must match the matrix")
     if not np.all(metric > 0):
         raise SchemaViolationError("metric entries must be > 0")
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(metric))):
+        raise SchemaViolationError("operator matrix and metric must be finite")
     matrix.flags.writeable = False
     metric.flags.writeable = False
     return Operator(

@@ -7,6 +7,7 @@ spectrum and turns metric inner products into plain ones.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,21 @@ class NumericalRangeBoundary:
     nu: float
 
 
+@contextmanager
+def converging(iteration: str = "eigenvalue"):
+    """Re-raise a LAPACK failure to converge inside the block as
+    NoConvergenceError."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"{iteration} iteration did not converge: {exc}") from exc
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^*) / 2, whose eigenvalues bound Re of the numerical range."""
+    return 0.5 * (a + a.conj().T)
+
+
 def _is_hermitian(a: np.ndarray) -> bool:
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     return float(np.max(np.abs(a - a.conj().T))) <= _HERMITIAN_RTOL * (1.0 + scale)
@@ -65,7 +81,7 @@ def eig(matrix: np.ndarray, compute_vectors: bool = False) -> Spectrum:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    try:
+    with converging():
         if _is_hermitian(a):
             if compute_vectors:
                 vals, vecs = np.linalg.eigh(a)
@@ -80,8 +96,6 @@ def eig(matrix: np.ndarray, compute_vectors: bool = False) -> Spectrum:
             vals, order = _sort_complex(vals)
             if vecs is not None:
                 vecs = vecs[:, order]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -105,17 +119,13 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     if n_angles < 4:
         raise ValueError("need n_angles >= 4")
     a = to_euclidean(op).astype(complex)
-    ah = a.conj().T
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
-    try:
+    with converging():
         for k, theta in enumerate(angles):
-            rotated = 0.5 * (np.exp(1j * theta) * a + np.exp(-1j * theta) * ah)
-            _, vecs = np.linalg.eigh(rotated)
+            _, vecs = np.linalg.eigh(hermitian_part(np.exp(1j * theta) * a))
             v = _phase_normalize(vecs[:, -1])
             points[k] = v.conj() @ (a @ v)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return NumericalRangeBoundary(
         angles=angles, points=points, nu=float(points.real.min())
     )
@@ -124,28 +134,23 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
 def nu(op: Operator) -> float:
     """inf Re of the numerical range: smallest eigenvalue of the Hermitian
     part in Euclidean coordinates. Computed spectrally, not by sampling."""
-    a = to_euclidean(op)
-    sym = 0.5 * (a + a.conj().T)
-    try:
-        return float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    with converging():
+        return float(np.linalg.eigvalsh(hermitian_part(to_euclidean(op)))[0])
 
 
 def operator_norm(op: Operator) -> float:
     """Metric operator norm = largest singular value in Euclidean coordinates."""
-    try:
+    with converging("singular value"):
         return float(np.linalg.svd(to_euclidean(op), compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"singular value iteration did not converge: {exc}") from exc
 
 
-def kernel_dimension(op: Operator, tol: float = 1e-8) -> int:
-    """Number of eigenvalues with modulus <= tol.
+def kernel_dimension(op: Operator, rtol: float = 1e-8) -> int:
+    """Number of eigenvalues with modulus <= rtol * (largest modulus).
 
-    For the normalized Laplacian of a balanced graph this counts connected
-    components (1 when connected: the kernel is spanned by constants and the
-    zero eigenvalue is simple).
+    The tolerance is relative, so rescaling the operator does not change
+    the count. For the normalized Laplacian of a balanced graph this counts
+    connected components (1 when connected: the kernel is spanned by
+    constants and the zero eigenvalue is simple).
     """
-    vals = eig(op.matrix).eigenvalues
-    return int(np.count_nonzero(np.abs(vals) <= tol))
+    moduli = np.abs(eig(op.matrix).eigenvalues)
+    return int(np.count_nonzero(moduli <= rtol * moduli.max()))

@@ -5,6 +5,7 @@ and 6 share one exhaustive subset sweep over the built-in corpus. Stated
 runtime budgets are asserted where they exist.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -235,3 +236,10 @@ def test_criterion_10_deterministic_verify(tmp_path):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) > 1000
+        # Recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31, with 1
+        # and with 2 BLAS threads; another BLAS or numpy build may round
+        # differently and change these bytes without any change to dirlap.
+        assert len(outputs[0]) == 2_324_679
+        assert hashlib.sha256(outputs[0]).hexdigest() == (
+            "a4cde6c6ca6bdbb36151c9c4b3102b3644205b442084751ce277b57895da9075"
+        )

@@ -311,6 +311,35 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("check", "b"), ("cheeger", "b"), ("spectrum", "m"), ("numrange", "b")],
+    )
+    def test_non_finite_graph(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "inf.json"
+        edges = [{"from": i, "to": (i + 1) % 3, "b": 1.0} for i in range(3)]
+        vertices = [{"id": i, "m": 1.0} for i in range(3)]
+        (edges if bad == "b" else vertices)[0][bad] = float("inf")
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "error:" in err and "not finite" in err and out == ""
+
+    def test_non_finite_operator(self, tmp_path, capsys):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(
+            {"kind": "delta", "metric": [1.0, 1.0], "matrix": [[1.0, float("nan")], [0.0, 1.0]]}
+        ))
+        code, _, err = run(capsys, "spectrum", str(path))
+        assert code == 2
+        assert "error:" in err and "finite" in err
+
+    @pytest.mark.parametrize("omega", ["[true]", "[0, false]"])
+    def test_boolean_omega(self, triangle_file, capsys, omega):
+        code, _, err = run(capsys, "cheeger", triangle_file, "--omega", omega)
+        assert code == 2
+        assert "error:" in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

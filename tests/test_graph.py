@@ -6,6 +6,7 @@ import pytest
 
 from dirlap import (
     DirectedGraph,
+    DirlapError,
     DisconnectedError,
     DuplicateEdgeError,
     EmptySubsetError,
@@ -15,7 +16,6 @@ from dirlap import (
     NonPositiveWeightError,
     SchemaViolationError,
     SelfLoopError,
-    beta,
     boundaries,
     build_graph,
     check_kirchhoff,
@@ -66,6 +66,14 @@ class TestBuildGraph:
         with pytest.raises(NonPositiveMeasureError):
             build_graph([1.0, -2.0], [(0, 1, 1.0), (1, 0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_measure_and_weight(self, bad):
+        edges = [(0, 1, 1.0), (1, 0, 1.0)]
+        with pytest.raises(DirlapError):
+            build_graph([1.0, bad], edges)
+        with pytest.raises(DirlapError):
+            build_graph([1.0, 1.0], [(0, 1, bad), (1, 0, 1.0)])
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(NonPositiveWeightError):
             build_graph([1.0, 1.0], [(0, 1, 0.0), (1, 0, 1.0)])
@@ -99,9 +107,6 @@ class TestDegreeSums:
         g = gen_cycle(4, w=2.5)
         assert g.beta_plus.tolist() == [2.5] * 4
         assert g.beta_minus.tolist() == [2.5] * 4
-        out, inc = beta(g)
-        assert out.tolist() == [2.5] * 4
-        assert inc.tolist() == [2.5] * 4
 
     def test_beta_matches_weight_matrix(self):
         g = gen_random_circulation(7, 3, seed=11)
@@ -202,6 +207,16 @@ class TestConnectivity:
         )
         und, strong = connectivity(g)
         assert not und and not strong
+
+    def test_weakly_but_not_strongly_connected(self):
+        # two 3-cycles joined by the single arc 2 -> 3
+        g = build_graph(
+            [1.0] * 6,
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0),
+             (2, 3, 1.0)],
+        )
+        und, strong = connectivity(g)
+        assert und and not strong
 
 
 class TestJsonRoundTrip:

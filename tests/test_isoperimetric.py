@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from util import brute_cheeger
 
@@ -9,6 +11,7 @@ from dirlap import (
     SubsetTooLargeError,
     build_filtration,
     build_graph,
+    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     gen_cycle,
@@ -147,6 +150,48 @@ class TestCheegerHeuristic:
         a = cheeger_heuristic(g, range(9))
         b = cheeger_heuristic(g, range(9))
         assert a.value == b.value and a.witness == b.witness
+
+
+    def test_pinned_values(self):
+        # value.hex() and witness recorded before the sweep and the greedy
+        # exchange were vectorized; both must stay bit-identical
+        big = gen_random_circulation(300, 150, 1)
+        levels = build_filtration(big, 0).levels
+        cases = [(big, [v for v in range(300) if v not in levels[i]]) for i in (0, 1)]
+        expected = [
+            {"measure": "0x1.df7702918d456p-1", "beta_plus": "0x1.b0c45cfbbba65p-8"},
+            {"measure": "0x1.c02eac8d6fbc2p+6", "beta_plus": "0x1.95e2ecc258419p-1"},
+        ]
+        for (g, comp), values in zip(cases, expected):
+            for normalization, value in values.items():
+                heur = cheeger_heuristic(g, comp, normalization)
+                assert (heur.value.hex(), heur.witness) == (value, tuple(comp))
+        # non-dyadic weights and non-unit measures
+        base = gen_random_circulation(30, 12, seed=0)
+        g = build_graph(
+            [1.0 + (i % 7) / 4 for i in range(30)],
+            [(u, v, w * math.pi) for u, v, w in base.edges()],
+        )
+        comp = [v for v in range(30) if v not in build_filtration(g, 0).levels[1]]
+        assert len(comp) == 14
+        heur = cheeger_heuristic(g, comp, "measure")
+        assert (heur.value.hex(), heur.witness) == ("0x1.05616905f83b6p+4", (13,))
+        heur = cheeger_heuristic(g, comp, "beta_plus")
+        assert (heur.value.hex(), heur.witness) == (
+            "0x1.0927eb7d9e94bp+0",
+            (1, 2, 3, 11, 13, 15, 17, 19, 20, 21, 26, 27),
+        )
+
+
+class TestCheegerAuto:
+    def test_exact_up_to_budget_then_heuristic(self):
+        g = gen_random_circulation(24, 8, seed=4)
+        # the budget never lifts the cap of 22
+        for size, budget, mode in ((4, 4, "exact"), (5, 4, "upper_bound"), (23, 30, "upper_bound")):
+            result = cheeger(g, range(size), "beta_plus", budget)
+            assert result.mode == mode, (size, budget)
+        assert cheeger(g, range(5)) == cheeger_exact(g, range(5))
+        assert cheeger(g, range(23)) == cheeger_heuristic(g, range(23))
 
 
 class TestMMConstants:

@@ -182,3 +182,11 @@ class TestKernelDimension:
     def test_dirichlet_restriction_kills_kernel(self):
         op = dirichlet(assemble(gen_cycle(6), "normalized_delta"), [0, 1, 2])
         assert kernel_dimension(op) == 0
+
+    def test_tolerance_scales_with_the_operator(self):
+        # measures x 2^40 scale the spectrum by exactly 2^-40
+        base = gen_random_circulation(300, 150, 0)
+        scaled = build_graph([2.0**40] * base.n, base.edges())
+        assert kernel_dimension(assemble(scaled, "delta")) == 1
+        tiny = gen_cycle(3, 1e-9)
+        assert kernel_dimension(assemble(tiny, "delta")) == 1
