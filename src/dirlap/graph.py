@@ -143,7 +143,8 @@ def build_graph(
     Args:
         measures: one strictly positive measure per vertex; len defines n.
         edges: (from, to, weight) triples; ordered pairs must be unique,
-            loops are rejected, weights must be strictly positive.
+            loops are rejected, weights must be strictly positive, and each
+            vertex's outgoing and incoming totals must be finite.
 
     Raises:
         NonPositiveMeasureError, NonPositiveWeightError, SelfLoopError,
@@ -186,12 +187,15 @@ def build_graph(
         arr.flags.writeable = False
     g = DirectedGraph(n=n, measure=m, edge_from=ef, edge_to=et, edge_weight=ew)
 
-    dead = np.flatnonzero(g.beta_plus <= 0)
-    if dead.size:
-        raise IsolatedDirectionError(f"vertex {int(dead[0])} has no outgoing weight")
-    dead = np.flatnonzero(g.beta_minus <= 0)
-    if dead.size:
-        raise IsolatedDirectionError(f"vertex {int(dead[0])} has no incoming weight")
+    for totals, direction in ((g.beta_plus, "outgoing"), (g.beta_minus, "incoming")):
+        dead = np.flatnonzero(totals <= 0)
+        if dead.size:
+            raise IsolatedDirectionError(f"vertex {int(dead[0])} has no {direction} weight")
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if bad.size:
+            raise SchemaViolationError(
+                f"total {direction} weight of vertex {int(bad[0])} is not finite"
+            )
     return g
 
 
@@ -300,6 +304,15 @@ def graph_to_json_obj(g: DirectedGraph) -> dict:
     }
 
 
+def _json_number(item, key: str, convert):
+    """convert(item[key]); a JSON true/false is not a number, although
+    Python's bool is an int."""
+    value = item[key]
+    if isinstance(value, bool):
+        raise ValueError(f"{key!r} is a boolean")
+    return convert(value)
+
+
 def graph_from_json_obj(obj) -> DirectedGraph:
     """Build a graph from the documented JSON shape.
 
@@ -321,8 +334,8 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     measures: dict[int, float] = {}
     for item in vertices:
         try:
-            vid = int(item["id"])
-            m = float(item["m"])
+            vid = _json_number(item, "id", int)
+            m = _json_number(item, "m", float)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolationError(f"bad vertex entry {item!r}") from exc
         if vid in measures:
@@ -335,7 +348,13 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     triples = []
     for item in edges:
         try:
-            triples.append((int(item["from"]), int(item["to"]), float(item["b"])))
+            triples.append(
+                (
+                    _json_number(item, "from", int),
+                    _json_number(item, "to", int),
+                    _json_number(item, "b", float),
+                )
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolationError(f"bad edge entry {item!r}") from exc
     return build_graph([measures[i] for i in range(n)], triples)

@@ -11,7 +11,12 @@ two crossing directions carry equal total weight, so the numerator is twice
 the one-directional cut.
 
 cheeger_exact enumerates every subset of Omega (cap: |Omega| <= 22) with
-vectorized bitmask tables; cheeger_heuristic runs a spectral sweep cut plus
+tables indexed by bitmask: the cut of every subset, and its measure or
+outflow. Each table entry adds its terms in one fixed order (see
+_cut_table), so values and witnesses are the same bit for bit however the
+tables are built. A table takes 8 * 2^k bytes, 32 MB at k = 22; the last
+cut table is kept between calls, so the two normalizations of one subset
+share it. cheeger_heuristic runs a spectral sweep cut plus
 greedy single-vertex exchange and returns an upper bound; cheeger picks the
 first when Omega is small enough and the second otherwise.
 
@@ -24,6 +29,7 @@ heavy ends, where the complements' weight-to-measure ratio blows up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -77,18 +83,36 @@ def _denominator_values(g: DirectedGraph, normalization: str) -> np.ndarray:
 
 
 def _subset_sums(vals: np.ndarray) -> np.ndarray:
-    """table[S] = sum of vals[i] over bits i set in S, for all 2^k masks."""
+    """table[S] = sum of vals[i] over bits i set in S, for all 2^k masks.
+
+    Built by doubling, table[S + 2^i] = table[S] + vals[i] for S < 2^i, so
+    every entry adds its bits in increasing order starting from 0.0.
+    """
     k = vals.size
     table = np.zeros(1 << k)
     for i in range(k):
         step = 1 << i
-        table.reshape(-1, 2 * step)[:, step:] += vals[i]
+        np.add(table[:step], vals[i], out=table[step : 2 * step])
     return table
 
 
-def _cut_table(g: DirectedGraph, idx: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
     """table[S] = total weight of directed edges leaving or entering the
-    subset of idx encoded by bitmask S (boundary taken in the full graph)."""
+    subset of ids encoded by bitmask S (boundary taken in the full graph).
+
+    Every entry is the subset sum of the vertices' external weights, then
+    the weight of each internal pair (i, j) that S separates, pairs taken
+    in lexicographic order; a pair's weight sums both directions in edge
+    order. Any other way of computing the table must add in this order to
+    keep cuts, ratios and witnesses bit for bit.
+
+    A table takes 8 * 2^k bytes (32 MB at k = 22). The last one built is
+    kept, read-only, for the next call with the same graph and subset: it
+    does not depend on the normalization, and the graph is hashed by
+    identity and held by the cache, so its id cannot be reused meanwhile.
+    """
+    idx = np.asarray(ids, dtype=np.int64)
     k = idx.size
     adj = g.adjacency
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -102,10 +126,13 @@ def _cut_table(g: DirectedGraph, idx: np.ndarray) -> np.ndarray:
     pairs, which = np.unique(p_own[inner] * k + p_nbr[inner], return_inverse=True)
     if pairs.size:
         pair_weight = np.bincount(which, weights=adj.weight[inner])
-        masks = np.arange(1 << k, dtype=np.uint32)
         for key, w in zip(pairs.tolist(), pair_weight.tolist()):
             i, j = divmod(key, k)
-            cut += w * (((masks >> i) ^ (masks >> j)) & 1)
+            # axes: bits above j, bit j, bits between, bit i, bits below i
+            v = cut.reshape(1 << (k - j - 1), 2, 1 << (j - i - 1), 2, 1 << i)
+            v[:, 1, :, 0, :] += w
+            v[:, 0, :, 1, :] += w
+    cut.flags.writeable = False
     return cut
 
 
@@ -129,16 +156,16 @@ def cheeger_exact(
         raise SubsetTooLargeError(
             f"|omega| = {k} exceeds the exact enumeration cap {MAX_EXACT_SUBSET}"
         )
-    cut = _cut_table(g, idx)
+    cut = _cut_table(g, tuple(idx.tolist()))
     denom = _subset_sums(denom_vals[idx])
     denom[0] = 1.0  # avoid 0/0; the empty subset is excluded below
-    ratios = cut / denom
+    ratios = np.divide(cut, denom, out=denom)
     ratios[0] = np.inf
-    best = float(ratios.min())
-    tied = np.flatnonzero(ratios == ratios.min())
+    best = ratios.min()
+    tied = np.flatnonzero(ratios == best)
     witness = min(_mask_to_ids(int(mask), idx) for mask in tied)
     return CheegerResult(
-        value=best, witness=witness, mode="exact", normalization=normalization
+        value=float(best), witness=witness, mode="exact", normalization=normalization
     )
 
 

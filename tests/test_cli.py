@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from dirlap import TheoremReport, gen_cycle, load_graph, save_graph
+from dirlap import TheoremReport, gen_cycle, gen_random_circulation, load_graph, save_graph
 from dirlap.cli import main
 
 
@@ -325,6 +326,16 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err and "not finite" in err and out == ""
 
+    def test_boolean_in_graph(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "m": True}, {"id": True, "m": 1.0}],
+            "edges": [{"from": 0, "to": 1, "b": 1.0}, {"from": 1, "to": 0, "b": 1.0}],
+        }))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "error:" in err and out == ""
+
     def test_non_finite_operator(self, tmp_path, capsys):
         path = tmp_path / "op.json"
         path.write_text(json.dumps(
@@ -366,3 +377,23 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["satisfied"] is True
+
+
+def test_verify_is_identical_across_blas_threads(tmp_path):
+    # n = 23: the complement of the root is enumerated exactly at the k = 22 cap
+    path = tmp_path / "g23.json"
+    save_graph(gen_random_circulation(23, 4, seed=4), path)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "dirlap", "verify", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    complement = "omega={" + ",".join(str(v) for v in range(1, 23)) + "}"
+    assert any(r["instance"].endswith(complement) for r in json.loads(outputs[0]))
+    assert outputs[0] == outputs[1]

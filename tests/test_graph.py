@@ -74,6 +74,16 @@ class TestBuildGraph:
         with pytest.raises(DirlapError):
             build_graph([1.0, 1.0], [(0, 1, bad), (1, 0, 1.0)])
 
+    def test_rejects_overflowing_weight_totals(self):
+        # every weight is finite, but vertex 0's outgoing and incoming totals are not
+        edges = [(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1e308), (2, 0, 1e308)]
+        with pytest.raises(SchemaViolationError, match="outgoing"):
+            build_graph([1.0, 1.0, 1.0], edges)
+        # only the incoming total of vertex 0 overflows
+        edges[1] = (0, 2, 1.0)
+        with pytest.raises(SchemaViolationError, match="incoming"):
+            build_graph([1.0, 1.0, 1.0], edges)
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(NonPositiveWeightError):
             build_graph([1.0, 1.0], [(0, 1, 0.0), (1, 0, 1.0)])
@@ -238,6 +248,16 @@ class TestJsonRoundTrip:
     def test_ids_must_be_dense(self):
         obj = graph_to_json_obj(gen_cycle(3))
         obj["vertices"][2]["id"] = 5
+        with pytest.raises(SchemaViolationError):
+            graph_from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [("vertices", "id"), ("vertices", "m"), ("edges", "from"), ("edges", "to"), ("edges", "b")],
+    )
+    def test_rejects_booleans(self, section, field):
+        obj = graph_to_json_obj(gen_cycle(3))
+        obj[section][1][field] = True
         with pytest.raises(SchemaViolationError):
             graph_from_json_obj(obj)
 

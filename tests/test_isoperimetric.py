@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from util import brute_cheeger
+from util import bitwise_subset_sums, brute_cheeger, mask_cut_table
 
 from dirlap import (
     NORMALIZATIONS,
@@ -22,6 +23,7 @@ from dirlap import (
     infinity_profile,
     m_M_constants,
 )
+from dirlap.isoperimetric import _cut_table, _subset_sums
 
 
 def subset_ratio(g, members, normalization):
@@ -110,6 +112,83 @@ class TestCheegerExact:
             "mode": "exact",
             "normalization": "measure",
         }
+
+
+def ring_graph(k, seed):
+    """Random balanced graph (weights times pi, random measures) with a
+    random k-subset omega whose members, in sorted order, form a directed
+    cycle, so the internal pairs include (0, 1), (0, k - 1) and (k - 2, k - 1)."""
+    rng = np.random.default_rng(seed)
+    n = k + 3
+    omega = np.sort(rng.choice(n, size=k, replace=False))
+    weights: dict[tuple[int, int], float] = {}
+    cycles = [rng.permutation(n), rng.permutation(n)[: n // 2]]
+    if k > 1:
+        cycles.append(omega)
+    for cycle in cycles:
+        w = float(rng.uniform(0.5, 2.0)) * math.pi
+        for u, v in zip(cycle.tolist(), np.roll(cycle, -1).tolist()):
+            if u != v:
+                weights[(u, v)] = weights.get((u, v), 0.0) + w
+    g = build_graph(rng.uniform(0.25, 4.0, n), [(u, v, w) for (u, v), w in weights.items()])
+    return g, omega
+
+
+class TestCutTables:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_bit_identical_to_mask_oracle(self, k):
+        for seed in range(2):
+            g, omega = ring_graph(k, 1000 * k + seed)
+            table = _cut_table(g, tuple(omega.tolist()))
+            assert table.tobytes() == mask_cut_table(g, omega).tobytes()
+            for vals in (g.measure[omega], g.beta_plus[omega], g.edge_weight[:k] * math.e):
+                assert _subset_sums(vals).tobytes() == bitwise_subset_sums(vals).tobytes()
+
+    def test_shared_table_gives_each_call_its_own_result(self):
+        # two graphs with the same vertex ids, two subsets, both normalizations
+        base = gen_random_circulation(12, 5, seed=3)
+        other = build_graph(
+            [1.0 + i / 8 for i in range(12)], [(u, v, w * math.pi) for u, v, w in base.edges()]
+        )
+        calls = [
+            (g, omega, normalization)
+            for omega in ([0, 2, 3, 5, 7, 8, 11], list(range(1, 10)))
+            for g in (base, other)
+            for normalization in NORMALIZATIONS
+        ]
+
+        def result(call):
+            res = cheeger_exact(*call)
+            return res.value.hex(), res.witness
+
+        def reference(g, omega, normalization):
+            idx = np.asarray(omega)
+            vals = g.measure if normalization == "measure" else g.beta_plus
+            ratios = mask_cut_table(g, idx)[1:] / bitwise_subset_sums(vals[idx])[1:]
+            best = ratios.min()
+            members = [[int(v) for i, v in enumerate(idx) if (m + 1) >> i & 1]
+                       for m in np.flatnonzero(ratios == best).tolist()]
+            return best.hex(), tuple(min(members))
+
+        alone = []
+        for call in calls:
+            _cut_table.cache_clear()
+            alone.append(result(call))
+            assert alone[-1] == reference(*call)
+        _cut_table.cache_clear()
+        # alternate between the two subsets, then run everything backwards
+        order = [i for pair in zip(range(4), range(4, 8)) for i in pair] + list(range(8))[::-1]
+        for i in order:
+            assert result(calls[i]) == alone[i], calls[i][1:]
+        # the two normalizations of one subset share one table
+        _cut_table.cache_clear()
+        for normalization in NORMALIZATIONS:
+            cheeger_exact(base, [0, 2, 3, 5], normalization)
+        assert _cut_table.cache_info().misses == 1
+        table = _cut_table(base, (0, 2, 3, 5))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
 
 
 class TestCheegerHeuristic:

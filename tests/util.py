@@ -107,3 +107,38 @@ def spectra_mismatch(got, expected):
     assert a.size == b.size
     dist = np.abs(a[:, None] - b[None, :])
     return float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
+
+
+def bitwise_subset_sums(vals):
+    """table[S] = sum of vals[i] over bits i set in S: one masked pass per
+    bit, the reference for the package's subset-sum tables."""
+    k = vals.size
+    table = np.zeros(1 << k)
+    for i in range(k):
+        step = 1 << i
+        table.reshape(-1, 2 * step)[:, step:] += vals[i]
+    return table
+
+
+def mask_cut_table(g, idx):
+    """Reference cut table over the subset idx (a sorted int array): external
+    weights by bitwise_subset_sums, then one full pass over all 2^k masks per
+    internal pair, pairs in lexicographic order."""
+    k = idx.size
+    adj = g.adjacency
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[idx] = np.arange(k)
+    p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
+    leaving = (p_own >= 0) & (p_nbr < 0)
+    ext = np.bincount(p_own[leaving], weights=adj.weight[leaving], minlength=k)
+    cut = bitwise_subset_sums(ext)
+    # each internal pair i < j, seen from i, with the weights of both directions summed
+    inner = (p_own >= 0) & (p_own < p_nbr)
+    pairs, which = np.unique(p_own[inner] * k + p_nbr[inner], return_inverse=True)
+    if pairs.size:
+        pair_weight = np.bincount(which, weights=adj.weight[inner])
+        masks = np.arange(1 << k, dtype=np.uint32)
+        for key, w in zip(pairs.tolist(), pair_weight.tolist()):
+            i, j = divmod(key, k)
+            cut += w * (((masks >> i) ^ (masks >> j)) & 1)
+    return cut
