@@ -305,11 +305,13 @@ def graph_to_json_obj(g: DirectedGraph) -> dict:
 
 
 def _json_number(item, key: str, convert):
-    """convert(item[key]); a JSON true/false is not a number, although
-    Python's bool is an int."""
+    """convert(item[key]) for a JSON integer (convert=int) or any JSON
+    number (convert=float). Strings, fractional ids and true/false (although
+    Python's bool is an int) are rejected, never coerced."""
     value = item[key]
-    if isinstance(value, bool):
-        raise ValueError(f"{key!r} is a boolean")
+    allowed = int if convert is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"{key!r} is not a JSON {'integer' if convert is int else 'number'}")
     return convert(value)
 
 

@@ -115,17 +115,27 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     e^{i theta} A (Euclidean coordinates) maximizes Re e^{i theta}(A f, f)
     over unit f, so (A v, v) is a boundary point with outer normal
     direction e^{-i theta}. Angles are 2 pi k / n_angles, k = 0..n_angles-1.
+
+    When the Euclidean matrix A is real, the Hermitian part of e^{-i theta} A
+    is the conjugate of that of e^{i theta} A, so W(A) is symmetric about
+    the real axis and the point at angle -theta is the conjugate of the
+    point at theta. The sweep then solves only k = 0..n_angles // 2
+    (n_angles // 2 + 1 eigensolves) and sets points[k] for larger k to
+    points[n_angles - k].conj() exactly. A complex A gets every angle solved.
     """
     if n_angles < 4:
         raise ValueError("need n_angles >= 4")
-    a = to_euclidean(op).astype(complex)
+    euclidean = to_euclidean(op)
+    a = euclidean.astype(complex)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
+    solved = n_angles // 2 + 1 if np.isrealobj(euclidean) else n_angles
     with converging():
-        for k, theta in enumerate(angles):
-            _, vecs = np.linalg.eigh(hermitian_part(np.exp(1j * theta) * a))
+        for k in range(solved):
+            _, vecs = np.linalg.eigh(hermitian_part(np.exp(1j * angles[k]) * a))
             v = _phase_normalize(vecs[:, -1])
             points[k] = v.conj() @ (a @ v)
+    points[solved:] = points[n_angles - solved : 0 : -1].conj()
     return NumericalRangeBoundary(
         angles=angles, points=points, nu=float(points.real.min())
     )

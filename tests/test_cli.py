@@ -336,6 +336,16 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err and out == ""
 
+    def test_fractional_and_string_values_in_graph(self, tmp_path, capsys):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "m": 1.0}, {"id": 1.7, "m": 1.0}],
+            "edges": [{"from": 0, "to": 1.9, "b": 1.0}, {"from": "1", "to": 0, "b": "1.0"}],
+        }))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "error:" in err and out == ""
+
     def test_non_finite_operator(self, tmp_path, capsys):
         path = tmp_path / "op.json"
         path.write_text(json.dumps(

@@ -261,6 +261,35 @@ class TestJsonRoundTrip:
         with pytest.raises(SchemaViolationError):
             graph_from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("vertices", "id", 1.7),
+            ("vertices", "id", 1.0),
+            ("vertices", "id", "1"),
+            ("vertices", "m", "2.5"),
+            ("edges", "from", "1"),
+            ("edges", "to", 1.9),
+            ("edges", "b", "2.5"),
+        ],
+    )
+    def test_rejects_non_json_integers_and_numbers(self, section, field, value):
+        # ids are JSON integers, measures and weights JSON numbers; nothing
+        # is truncated or parsed from a string
+        obj = graph_to_json_obj(gen_cycle(3))
+        obj[section][1][field] = value
+        with pytest.raises(SchemaViolationError):
+            graph_from_json_obj(obj)
+
+    def test_integer_measures_and_weights_are_numbers(self):
+        obj = {
+            "vertices": [{"id": 0, "m": 1}, {"id": 1, "m": 2.5}],
+            "edges": [{"from": 0, "to": 1, "b": 2}, {"from": 1, "to": 0, "b": 2}],
+        }
+        g = graph_from_json_obj(obj)
+        assert g.measure.tolist() == [1.0, 2.5]
+        assert g.edge_weight.tolist() == [2.0, 2.0]
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "g.json"
         g = gen_random_circulation(6, 3, seed=0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from util import hull_distance, spectra_mismatch, support_value
+from util import full_sweep_boundary, hull_distance, spectra_mismatch, support_value
 
+import dirlap.spectral
 from dirlap import (
     NoConvergenceError,
+    Operator,
     SplitMix64,
     assemble,
     build_graph,
@@ -126,6 +128,80 @@ class TestNumericalRange:
         a = numerical_range_boundary(op, 24)
         b = numerical_range_boundary(op, 24)
         assert np.array_equal(a.points, b.points)
+
+
+
+def pi_circulation():
+    """7-vertex balanced graph with weights times pi and random measures."""
+    base = gen_random_circulation(7, 3, seed=11)
+    rng = np.random.default_rng(7)
+    return build_graph(
+        rng.uniform(0.25, 4.0, base.n), [(u, v, w * np.pi) for u, v, w in base.edges()]
+    )
+
+
+SWEEP_OPERATORS = {
+    "cycle3": lambda: assemble(gen_cycle(3), "delta"),
+    "pi_circulation": lambda: assemble(pi_circulation(), "normalized_delta"),
+    "dirichlet": lambda: dirichlet(assemble(pi_circulation(), "delta"), [0, 2, 3, 5]),
+}
+SWEEP_ANGLES = (4, 5, 7, 16, 96)
+
+
+def complex_operator():
+    """An operator whose numerical range has no mirror symmetry."""
+    op = SWEEP_OPERATORS["pi_circulation"]()
+    return Operator(matrix=op.matrix * np.exp(0.3j), metric=op.metric, kind=op.kind)
+
+
+class TestMirroredSweep:
+    @pytest.mark.parametrize("n_angles", SWEEP_ANGLES)
+    @pytest.mark.parametrize("name", sorted(SWEEP_OPERATORS))
+    def test_real_operator_matches_full_sweep(self, name, n_angles):
+        op = SWEEP_OPERATORS[name]()
+        bdry = numerical_range_boundary(op, n_angles)
+        angles, expected = full_sweep_boundary(op, n_angles)
+        half = n_angles // 2 + 1
+        assert bdry.angles.tobytes() == angles.tobytes()
+        assert bdry.points[:half].tobytes() == expected[:half].tobytes()
+        a = to_euclidean(op)
+        for k in range(half, n_angles):
+            p, q = bdry.points[k], expected[k]
+            assert p.tobytes() == bdry.points[n_angles - k].conj().tobytes()
+            tol = 1e-12 * (1.0 + abs(q))
+            direction = np.exp(1j * angles[k])
+            assert abs((p * direction).real - (q * direction).real) <= tol
+            # where the top eigenvalue is multiple, the range has a flat edge
+            # normal to this direction (the 3-cycle's triangle at 96 angles)
+            # and any point of that edge is a valid answer
+            rotated = direction * a
+            top = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-2:]
+            if top[1] - top[0] > 1e-8:
+                assert abs(p - q) <= tol
+        assert bdry.nu == float(bdry.points.real.min())
+
+    @pytest.mark.parametrize("n_angles", SWEEP_ANGLES)
+    def test_complex_operator_solves_every_angle(self, n_angles):
+        op = complex_operator()
+        bdry = numerical_range_boundary(op, n_angles)
+        _, expected = full_sweep_boundary(op, n_angles)
+        assert bdry.points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_angles, solves", [(4, 3), (5, 3), (16, 9), (360, 181)])
+    def test_eigensolve_count(self, monkeypatch, n_angles, solves):
+        calls = []
+        eigh = dirlap.spectral.np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dirlap.spectral.np.linalg, "eigh", counting_eigh)
+        numerical_range_boundary(assemble(gen_cycle(3), "delta"), n_angles)
+        assert len(calls) == solves
+        calls.clear()
+        numerical_range_boundary(complex_operator(), n_angles)
+        assert len(calls) == n_angles
 
 
 class TestNu:

@@ -142,3 +142,27 @@ def mask_cut_table(g, idx):
             i, j = divmod(key, k)
             cut += w * (((masks >> i) ^ (masks >> j)) & 1)
     return cut
+
+
+def full_sweep_boundary(op, n_angles):
+    """Reference rotation sweep: one eigh of the Hermitian part of
+    e^{i theta} A per angle, every angle solved, no use of symmetry.
+
+    Returns (angles, points) with the same expressions, in the same order,
+    as a sweep that solves every angle, so solved points can be compared
+    with the package's by bytes."""
+    s = np.sqrt(op.metric)
+    a = (op.matrix * (s[:, None] / s[None, :])).astype(complex)
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    points = np.empty(n_angles, dtype=complex)
+    for k, theta in enumerate(angles):
+        rotated = np.exp(1j * theta) * a
+        _, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().T))
+        v = vecs[:, -1]
+        scale = float(np.max(np.abs(v)))
+        for x in v:
+            if abs(x) > 1e-12 * scale:
+                v = v * (np.conj(x) / abs(x))
+                break
+        points[k] = v.conj() @ (a @ v)
+    return angles, points
