@@ -126,33 +126,33 @@ def to_euclidean(op: Operator) -> np.ndarray:
     return op.matrix * (s[:, None] / s[None, :])
 
 
-def metric_inner(metric: np.ndarray, f: np.ndarray, h: np.ndarray) -> complex:
-    """Weighted inner product sum_x metric(x) f(x) conj(h(x))."""
-    return complex(np.sum(metric * np.asarray(f) * np.conj(h)))
+def metric_inner(metric: np.ndarray, f: np.ndarray, h: np.ndarray) -> complex | np.ndarray:
+    """Weighted inner product sum_x metric(x) f(x) conj(h(x)) along the last
+    axis: a complex scalar for one vector, a complex array with one value
+    per row for stacks of row vectors. The terms are summed in C order, so
+    every row rounds as the same vector on its own does."""
+    return np.ascontiguousarray(metric * np.asarray(f) * np.conj(h)).sum(axis=-1)
 
 
-def _green_terms(
-    g: DirectedGraph, delta: np.ndarray, f: np.ndarray, h: np.ndarray
-) -> tuple[complex, complex, complex]:
+def _matvec(matrix: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """matrix @ f per row of f, rounded as for one vector (f @ matrix.T is not)."""
+    return (matrix @ f[..., None])[..., 0]
+
+
+def _green_terms(g: DirectedGraph, delta: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple:
     """The three terms (delta f, h)_m, conj((delta h, f)_m) and
-    sum_edges b(x,y) (f(x)-f(y)) conj(h(x)-h(y)) of summation by parts."""
-    t1 = metric_inner(g.measure, delta @ f, h)
-    t2 = np.conj(metric_inner(g.measure, delta @ h, f))
-    df = f[g.edge_from] - f[g.edge_to]
-    dh = h[g.edge_from] - h[g.edge_to]
-    t3 = complex(np.sum(g.edge_weight * df * np.conj(dh)))
-    return t1, t2, t3
+    sum_edges b(x,y) (f(x)-f(y)) conj(h(x)-h(y)) of summation by parts,
+    one value each per row of f and h."""
+    x, y = g.edge_from, g.edge_to
+    t1 = metric_inner(g.measure, _matvec(delta, f), h)
+    t2 = np.conj(metric_inner(g.measure, _matvec(delta, h), f))
+    return t1, t2, metric_inner(g.edge_weight, f[..., x] - f[..., y], h[..., x] - h[..., y])
 
 
-def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float:
-    """Defect of the summation-by-parts identity on a balanced graph.
-
-    Computes |(delta f, h)_m + conj((delta h, f)_m)
-              - sum_edges b(x,y) (f(x)-f(y)) conj(h(x)-h(y))|,
-    which is zero in exact arithmetic whenever outflow == inflow holds.
-
-    Raises KirchhoffViolatedError if the graph is not balanced.
-    """
+def _green_defect(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> tuple:
+    """Per row of f and h: the residual |t1 + t2 - t3| of the three terms and
+    its scale max(1, |t1|, |t2|, |t3|). Raises KirchhoffViolatedError if the
+    graph is not balanced."""
     report = check_kirchhoff(g)
     if not report.satisfied:
         raise KirchhoffViolatedError(
@@ -161,11 +161,29 @@ def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float:
     f = np.asarray(f, dtype=complex)
     h = np.asarray(h, dtype=complex)
     t1, t2, t3 = _green_terms(g, assemble(g, "delta").matrix, f, h)
-    return abs(t1 + t2 - t3)
+    z = np.stack([t1 + t2 - t3, t1, t2, t3])
+    # hypot rounds as abs() of a Python complex does; np.abs on complex arrays may not
+    modulus = np.hypot(z.real, z.imag)
+    return modulus[0], np.max(modulus[1:], axis=0, initial=1.0)
 
 
-def quadratic_form(op: Operator, f: np.ndarray) -> float:
-    """Energy 2 Re (A f, f)_metric of a delta-type operator.
+def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float | np.ndarray:
+    """Defect of the summation-by-parts identity on a balanced graph.
+
+    Computes |(delta f, h)_m + conj((delta h, f)_m)
+              - sum_edges b(x,y) (f(x)-f(y)) conj(h(x)-h(y))|,
+    which is zero in exact arithmetic whenever outflow == inflow holds.
+    Takes one pair of vectors, or two stacks of row vectors, and then
+    returns one residual per row.
+
+    Raises KirchhoffViolatedError if the graph is not balanced.
+    """
+    return _green_defect(g, f, h)[0]
+
+
+def quadratic_form(op: Operator, f: np.ndarray) -> float | np.ndarray:
+    """Energy 2 Re (A f, f)_metric of a delta-type operator, one value per
+    row for a stack of row vectors.
 
     Only meaningful for kind delta / normalized_delta (possibly Dirichlet
     restricted); on a balanced graph it equals
@@ -174,7 +192,7 @@ def quadratic_form(op: Operator, f: np.ndarray) -> float:
     if op.base_kind() not in ("delta", "normalized_delta"):
         raise ValueError(f"quadratic_form expects a delta kind, got {op.kind!r}")
     f = np.asarray(f, dtype=complex)
-    return float(2.0 * metric_inner(op.metric, op.matrix @ f, f).real)
+    return 2.0 * metric_inner(op.metric, _matvec(op.matrix, f), f).real
 
 
 def operator_to_json_obj(op: Operator) -> dict:

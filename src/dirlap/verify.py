@@ -27,11 +27,11 @@ from .isoperimetric import (
     m_M_constants,
 )
 from .operators import (
-    _green_terms,
+    _green_defect,
     assemble,
     dirichlet,
-    greens_residual,
     metric_inner,
+    quadratic_form,
     to_euclidean,
 )
 from .spectral import (
@@ -56,6 +56,9 @@ _GREEN_SEED = 0x6772E55
 _FUJIWARA_SEED = 0xF731A4A
 _RANGE_SAMPLES_DISC = 360
 _RANGE_SAMPLES_FUJIWARA = 16
+
+_EXHAUSTIVE_LIMIT = 9
+_SANDWICH_SIZE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -113,24 +116,21 @@ def _omega_tag(omega: Iterable[int]) -> str:
     return "{" + ",".join(str(int(v)) for v in sorted(set(omega))) + "}"
 
 
-def verify_green(
-    g: DirectedGraph, instance: str = "graph", n_pairs: int = 100, seed: int = _GREEN_SEED
-) -> TheoremReport:
+def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
+    """count random complex vectors of length n, one per row, in draw order."""
+    return np.array([rng.complex_vector(n) for _ in range(count)], dtype=complex).reshape(count, n)
+
+
+def verify_green(g: DirectedGraph, instance: str = "graph", n_pairs: int = 100) -> TheoremReport:
     """Summation-by-parts identity on random complex vector pairs.
 
     The residual is compared against 1e-9 * scale per pair, scale being the
-    magnitude of the three terms involved. Raises KirchhoffViolatedError on
-    unbalanced graphs (via greens_residual).
+    magnitude of the three terms involved (at least 1). Raises
+    KirchhoffViolatedError on unbalanced graphs.
     """
-    rng = SplitMix64(seed)
-    delta = assemble(g, "delta").matrix
-    worst = 0.0
-    for _ in range(n_pairs):
-        f = rng.complex_vector(g.n)
-        h = rng.complex_vector(g.n)
-        resid = greens_residual(g, f, h)
-        scale = max(1.0, *(abs(t) for t in _green_terms(g, delta, f, h)))
-        worst = max(worst, resid / scale)
+    draws = _draw(SplitMix64(_GREEN_SEED), 2 * n_pairs, g.n)
+    resid, scale = _green_defect(g, draws[0::2], draws[1::2])
+    worst = np.max(resid / scale, initial=0.0)
     return _report(
         "greens_formula",
         f"{instance}|pairs={n_pairs}",
@@ -169,7 +169,7 @@ def verify_kyfan(
     a = np.asarray(matrix, dtype=complex)
     re_sorted = np.sort(eig(a).eigenvalues.real)
     with converging():
-        sym_sorted = np.sort(np.linalg.eigvalsh(hermitian_part(a)))
+        sym_sorted = np.linalg.eigvalsh(hermitian_part(a))  # ascending
     n = a.shape[0]
     pairs = []
     for q in range(1, n + 1):
@@ -202,7 +202,7 @@ def verify_dirichlet_bounds(
     re_low = float(lam[0].real)
     re_high = float(lam[-1].real)
     with converging():
-        sym = np.sort(np.linalg.eigvalsh(hermitian_part(to_euclidean(op))))
+        sym = np.linalg.eigvalsh(hermitian_part(to_euclidean(op)))  # ascending
     s_low, s_high = float(sym[0]), float(sym[-1])
     tol = _default_tolerance([re_low, re_high, s_low, s_high, 2.0])
     pairs = [
@@ -257,7 +257,6 @@ def verify_fujiwara(
     instance: str = "graph",
     n_angles: int = _RANGE_SAMPLES_FUJIWARA,
     n_vectors: int = 100,
-    seed: int = _FUJIWARA_SEED,
 ) -> TheoremReport:
     """Isoperimetric envelope of the Dirichlet numerical range.
 
@@ -284,23 +283,15 @@ def verify_fujiwara(
         (2.0 * sigma, M_c * (2.0 + s)),
     ]
 
-    rng = SplitMix64(seed)
-    worst_low: tuple[float, float] | None = None
-    worst_high: tuple[float, float] | None = None
-    for _ in range(n_vectors):
-        f = rng.complex_vector(idx.size)
-        norm_m = metric_inner(op_m.metric, f, f).real
-        two_re_lam = 2.0 * metric_inner(op_m.metric, op_m.matrix @ f, f).real / norm_m
-        norm_t = metric_inner(op_t.metric, f, f).real
-        r = 2.0 * metric_inner(op_t.metric, op_t.matrix @ f, f).real / norm_t
-        low = (m_c * r, two_re_lam)
-        high = (two_re_lam, M_c * r)
-        if worst_low is None or low[1] - low[0] < worst_low[1] - worst_low[0]:
-            worst_low = low
-        if worst_high is None or high[1] - high[0] < worst_high[1] - worst_high[0]:
-            worst_high = high
-    if worst_low is not None and worst_high is not None:
-        pairs.extend([worst_low, worst_high])
+    if n_vectors:
+        f = _draw(SplitMix64(_FUJIWARA_SEED), n_vectors, idx.size)
+        two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
+        r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
+        # the worst vector of each side; argmin takes the first on ties
+        low = int(np.argmin(two_re_lam - m_c * r))
+        high = int(np.argmin(M_c * r - two_re_lam))
+        pairs.append((m_c * r[low], two_re_lam[low]))
+        pairs.append((two_re_lam[high], M_c * r[high]))
     return _report(
         "fujiwara_envelope",
         f"{instance}|omega={_omega_tag(idx)}|angles={n_angles}|vectors={n_vectors}",
@@ -312,7 +303,6 @@ def verify_ess_bound_consistency(
     g: DirectedGraph,
     filt: Filtration,
     instance: str = "graph",
-    budget: int = MAX_EXACT_SUBSET,
 ) -> TheoremReport:
     """Per-level essential-spectrum lower bounds along a filtration.
 
@@ -321,7 +311,7 @@ def verify_ess_bound_consistency(
     nondecreasing, and each level must satisfy the isoperimetric bound
     m_c ht_c^2 / 8 <= nu.
     """
-    profile = infinity_profile(g, filt, budget)
+    profile = infinity_profile(g, filt)
     if len(profile.levels) < 2:
         raise EmptyComplementError("need at least 2 levels with non-empty complement")
     pairs = []
@@ -342,62 +332,52 @@ def _proper_subsets(n: int, max_size: int) -> Iterable[tuple[int, ...]]:
         yield from combinations(range(n), size)
 
 
-def _selected_subsets(g: DirectedGraph) -> list[tuple[int, ...]]:
-    """Deterministic small subset family for graphs too big to sweep."""
+def _selected_subsets(g: DirectedGraph, filt: Filtration | None) -> list[tuple[int, ...]]:
+    """Deterministic small subset family for graphs too big to sweep: three
+    single vertices, then the first filtration levels and their complements."""
     subsets: list[tuple[int, ...]] = [(0,), (g.n // 2,), (g.n - 1,)]
-    connected, _ = connectivity(g)
-    if connected:
-        filt = build_filtration(g, 0)
+    if filt is not None:
         for level in filt.levels[:-1][:4]:
             if len(level) <= MAX_EXACT_SUBSET:
                 subsets.append(level)
             comp = tuple(sorted(set(range(g.n)) - set(level)))
             if 0 < len(comp) <= MAX_EXACT_SUBSET:
                 subsets.append(comp)
-    seen = set()
-    unique = []
-    for sub in subsets:
-        if sub not in seen and 0 < len(sub) < g.n:
-            seen.add(sub)
-            unique.append(sub)
-    return unique
+    return [sub for sub in dict.fromkeys(subsets) if 0 < len(sub) < g.n]
 
 
-def verify_graph(
-    g: DirectedGraph,
-    name: str = "graph",
-    exhaustive_limit: int = 9,
-    sandwich_size_cap: int = 8,
-    budget: int = MAX_EXACT_SUBSET,
-) -> list[TheoremReport]:
+def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     """Run the whole suite on one balanced graph.
 
-    For n <= exhaustive_limit the subset sweeps are exhaustive (proper
-    subsets for the Dirichlet bounds; subsets up to sandwich_size_cap for
-    the isoperimetric checks); larger graphs get a deterministic selection.
+    For n <= 9 the subset sweeps are exhaustive (proper subsets for the
+    Dirichlet bounds; subsets of up to 8 vertices for the isoperimetric
+    checks); larger graphs get a deterministic selection of single vertices,
+    filtration levels from vertex 0 and their complements. On a connected
+    graph whose filtration has two levels with a non-empty complement, the
+    essential-spectrum bounds are checked along it, exact up to
+    MAX_EXACT_SUBSET complement vertices.
     """
     reports = [
         verify_green(g, name),
         verify_bounded(g, name),
         verify_kyfan(to_euclidean(assemble(g, "normalized_delta")), f"{name}|normalized_delta"),
     ]
-    if g.n <= exhaustive_limit:
+    connected, _ = connectivity(g)
+    filt = build_filtration(g, 0) if connected else None
+    if g.n <= _EXHAUSTIVE_LIMIT:
         dirichlet_subsets = list(_proper_subsets(g.n, g.n - 1))
-        sandwich_subsets = list(_proper_subsets(g.n, min(sandwich_size_cap, g.n)))
+        sandwich_subsets = list(_proper_subsets(g.n, min(_SANDWICH_SIZE_CAP, g.n)))
     else:
-        dirichlet_subsets = _selected_subsets(g)
+        dirichlet_subsets = _selected_subsets(g, filt)
         sandwich_subsets = dirichlet_subsets
     for omega in dirichlet_subsets:
         reports.append(verify_dirichlet_bounds(g, omega, name))
     for omega in sandwich_subsets:
         reports.append(verify_cheeger_sandwich(g, omega, name))
         reports.append(verify_fujiwara(g, omega, name))
-    connected, _ = connectivity(g)
-    if connected:
-        filt = build_filtration(g, 0)
-        usable = sum(1 for level in filt.levels if len(level) < g.n)
-        if usable >= 2:
-            reports.append(verify_ess_bound_consistency(g, filt, name, budget))
+    # every level but the last (the whole graph) has a non-empty complement
+    if filt is not None and len(filt.levels) >= 3:
+        reports.append(verify_ess_bound_consistency(g, filt, name))
     return reports
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import dirlap
 from dirlap import TheoremReport, gen_cycle, gen_random_circulation, load_graph, save_graph
 from dirlap.cli import main
 
@@ -391,14 +393,17 @@ def test_module_entry_point(tmp_path):
 
 def test_verify_is_identical_across_blas_threads(tmp_path):
     # n = 23: the complement of the root is enumerated exactly at the k = 22 cap
-    path = tmp_path / "g23.json"
-    save_graph(gen_random_circulation(23, 4, seed=4), path)
+    save_graph(gen_random_circulation(23, 4, seed=4), tmp_path / "g23.json")
+    # run from tmp_path with a relative path, since the instance names carry it
+    package_root = os.path.dirname(os.path.dirname(dirlap.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         result = subprocess.run(
-            [sys.executable, "-m", "dirlap", "verify", str(path)],
+            [sys.executable, "-m", "dirlap", "verify", "g23.json"],
             capture_output=True,
+            cwd=tmp_path,
             env=env,
             timeout=300,
         )
@@ -407,3 +412,9 @@ def test_verify_is_identical_across_blas_threads(tmp_path):
     complement = "omega={" + ",".join(str(v) for v in range(1, 23)) + "}"
     assert any(r["instance"].endswith(complement) for r in json.loads(outputs[0]))
     assert outputs[0] == outputs[1]
+    # recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31, 1 and 2 threads
+    assert len(outputs[0]) == 12872
+    assert (
+        hashlib.sha256(outputs[0]).hexdigest()
+        == "063b3c7ef3c36775e4a3955472d3094934339d12dfa16adc051ad9b9c1d854da"
+    )

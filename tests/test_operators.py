@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from util import spectra_mismatch
+from util import pi_circulation, spectra_mismatch
 
 from dirlap import (
     KINDS,
@@ -23,6 +23,7 @@ from dirlap import (
     quadratic_form,
     to_euclidean,
 )
+from dirlap.operators import _green_terms
 
 
 def shift_matrix(n):
@@ -214,6 +215,63 @@ class TestQuadraticForm:
     def test_accepts_dirichlet_delta(self):
         op = dirichlet(assemble(gen_cycle(4), "delta"), [0, 1])
         assert quadratic_form(op, np.ones(2)) >= 0.0
+
+
+def _stacks(n, rows, seed):
+    """Pairs (F, H) of row stacks laid out three ways: contiguous blocks,
+    every other row of one draw array, and a transposed (column-major)
+    view."""
+    rng = SplitMix64(seed)
+    draws = np.array([rng.complex_vector(n) for _ in range(2 * rows)])
+    by_column = np.ascontiguousarray(draws.T).transpose()
+    assert not by_column.flags.c_contiguous
+    return [
+        (draws[:rows], draws[rows:]),
+        (draws[0::2], draws[1::2]),
+        (by_column[:rows], by_column[rows:]),
+    ]
+
+
+def _same_rows(stacked, single_calls):
+    """Each row of a stacked result has the bytes of the one-vector call."""
+    stacked = np.asarray(stacked)
+    assert stacked.shape == (len(single_calls),)
+    for row, single in zip(stacked, single_calls):
+        assert np.ndim(single) == 0
+        assert row.tobytes() == np.asarray(single).tobytes()
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("n", [3, 7, 8, 30])
+    def test_rows_equal_single_calls(self, n):
+        g = pi_circulation(n, seed=n)
+        delta = assemble(g, "delta").matrix
+        k = max(1, n // 2)
+        ops = [
+            (assemble(g, "delta"), n),
+            (assemble(g, "normalized_delta"), n),
+            (dirichlet(assemble(g, "delta"), range(k)), k),
+        ]
+        for F, H in _stacks(n, 12, seed=100 + n):
+            pairs = [(np.array(f), np.array(h)) for f, h in zip(F, H)]
+            inners = [metric_inner(g.measure, f, h) for f, h in pairs]
+            _same_rows(metric_inner(g.measure, F, H), inners)
+            _same_rows(greens_residual(g, F, H), [greens_residual(g, f, h) for f, h in pairs])
+            terms = [_green_terms(g, delta, f, h) for f, h in pairs]
+            for t, stacked in enumerate(_green_terms(g, delta, F, H)):
+                _same_rows(stacked, [row[t] for row in terms])
+            for op, size in ops:
+                _same_rows(
+                    quadratic_form(op, F[:, :size]),
+                    [quadratic_form(op, np.array(f[:size])) for f in F],
+                )
+
+    def test_empty_stack(self):
+        g = pi_circulation(7, seed=7)
+        empty = np.zeros((0, 7), dtype=complex)
+        assert metric_inner(g.measure, empty, empty).shape == (0,)
+        assert greens_residual(g, empty, empty).shape == (0,)
+        assert quadratic_form(assemble(g, "delta"), empty).shape == (0,)
 
 
 class TestSerialization:

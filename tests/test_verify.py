@@ -29,6 +29,7 @@ from dirlap import (
     verify_kyfan,
 )
 from dirlap.verify import _report
+from util import loop_verify_fujiwara, loop_verify_green, pi_circulation
 
 
 class TestReportSemantics:
@@ -89,9 +90,39 @@ class TestGreen:
         with pytest.raises(KirchhoffViolatedError):
             verify_green(g)
 
+    def test_raises_on_unbalanced_without_pairs(self):
+        g = build_graph([1.0, 1.0], [(0, 1, 2.0), (1, 0, 1.0)])
+        with pytest.raises(KirchhoffViolatedError):
+            verify_green(g, n_pairs=0)
+
     def test_deterministic(self):
         g = gen_random_circulation(8, 3, seed=4)
         assert verify_green(g) == verify_green(g)
+
+
+def _report_bytes(report):
+    return json.dumps(report.to_json_obj())
+
+
+class TestStackedChecksMatchLoops:
+    """The stacked checks give the per-vector loops' reports, byte for byte."""
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 30])
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    def test_green(self, n, count):
+        g = pi_circulation(n, seed=n)
+        got = verify_green(g, "pi", n_pairs=count)
+        assert _report_bytes(got) == _report_bytes(loop_verify_green(g, "pi", n_pairs=count))
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 30])
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    def test_fujiwara(self, n, count):
+        g = pi_circulation(n, seed=n)
+        omega = range(0, n, 2)
+        got = verify_fujiwara(g, omega, "pi", n_vectors=count)
+        want = loop_verify_fujiwara(g, omega, "pi", n_vectors=count)
+        assert _report_bytes(got) == _report_bytes(want)
+        assert len(got.lhs) == (5 if count else 3)
 
 
 class TestBounded:

@@ -1,13 +1,29 @@
 """Independent reference computations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (itertools
-enumeration, direct summation, plain geometry) so it shares no code paths
-with the package.
+enumeration, direct summation, plain geometry, one vector at a time) so it
+shares no code paths with the part of the package it checks. The verifier
+oracles take what they do not check (Cheeger constants, the boundary sweep,
+report assembly) from the package.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
+
+from dirlap import (
+    SplitMix64,
+    assemble,
+    build_graph,
+    cheeger_exact,
+    dirichlet,
+    gen_random_circulation,
+    m_M_constants,
+    numerical_range_boundary,
+    subset_array,
+)
+from dirlap.verify import _FUJIWARA_SEED, _GREEN_SEED, _omega_tag, _report
 
 
 def brute_cheeger(g, omega, normalization):
@@ -166,3 +182,73 @@ def full_sweep_boundary(op, n_angles):
                 break
         points[k] = v.conj() @ (a @ v)
     return angles, points
+
+
+def pi_circulation(n, seed):
+    """Balanced n-vertex graph whose weights (a random circulation's times
+    pi) and measures (uniform in [0.25, 4)) are not dyadic, so every sum
+    rounds."""
+    base = gen_random_circulation(n, max(2, n // 2), seed=seed)
+    measures = np.random.default_rng(seed).uniform(0.25, 4.0, n)
+    return build_graph(measures, [(u, v, w * math.pi) for u, v, w in base.edges()])
+
+
+def _loop_inner(metric, f, h):
+    return complex(np.sum(metric * np.asarray(f) * np.conj(h)))
+
+
+def loop_verify_green(g, instance="graph", n_pairs=100):
+    """Reference verify_green: one vector pair at a time, each term and
+    modulus taken the plain way (matrix @ vector, fancy indexing, abs of a
+    Python complex), the worst ratio kept by max()."""
+    rng = SplitMix64(_GREEN_SEED)
+    delta = assemble(g, "delta").matrix
+    worst = 0.0
+    for _ in range(n_pairs):
+        f = rng.complex_vector(g.n)
+        h = rng.complex_vector(g.n)
+        t1 = _loop_inner(g.measure, delta @ f, h)
+        t2 = np.conj(_loop_inner(g.measure, delta @ h, f))
+        df = f[g.edge_from] - f[g.edge_to]
+        dh = h[g.edge_from] - h[g.edge_to]
+        t3 = complex(np.sum(g.edge_weight * df * np.conj(dh)))
+        scale = max(1.0, abs(t1), abs(t2), abs(t3))
+        worst = max(worst, abs(t1 + t2 - t3) / scale)
+    return _report("greens_formula", f"{instance}|pairs={n_pairs}", [(worst, 1e-9)], tolerance=0.0)
+
+
+def loop_verify_fujiwara(g, omega, instance="graph", n_angles=16, n_vectors=100):
+    """Reference verify_fujiwara: the boundary pairs as the package builds
+    them, then one random vector at a time for the interior chain, the worst
+    pair of each side kept on a strict < comparison."""
+    idx = subset_array(g, omega)
+    ht = cheeger_exact(g, idx, "beta_plus").value
+    m_c, M_c = m_M_constants(g, idx)
+    op_m = dirichlet(assemble(g, "delta"), idx)
+    op_t = dirichlet(assemble(g, "normalized_delta"), idx)
+    samples = numerical_range_boundary(op_m, n_angles)
+    rho = float(samples.points.real.min())
+    sigma = float(samples.points.real.max())
+    s = float(np.sqrt(max(0.0, 4.0 - ht * ht)))
+    pairs = [(m_c * (2.0 - s), 2.0 * rho), (2.0 * rho, 2.0 * sigma), (2.0 * sigma, M_c * (2.0 + s))]
+    rng = SplitMix64(_FUJIWARA_SEED)
+    worst_low = worst_high = None
+    for _ in range(n_vectors):
+        f = rng.complex_vector(idx.size)
+        norm_m = _loop_inner(op_m.metric, f, f).real
+        two_re_lam = 2.0 * _loop_inner(op_m.metric, op_m.matrix @ f, f).real / norm_m
+        norm_t = _loop_inner(op_t.metric, f, f).real
+        r = 2.0 * _loop_inner(op_t.metric, op_t.matrix @ f, f).real / norm_t
+        low = (m_c * r, two_re_lam)
+        high = (two_re_lam, M_c * r)
+        if worst_low is None or low[1] - low[0] < worst_low[1] - worst_low[0]:
+            worst_low = low
+        if worst_high is None or high[1] - high[0] < worst_high[1] - worst_high[0]:
+            worst_high = high
+    if worst_low is not None:
+        pairs.extend([worst_low, worst_high])
+    return _report(
+        "fujiwara_envelope",
+        f"{instance}|omega={_omega_tag(idx)}|angles={n_angles}|vectors={n_vectors}",
+        pairs,
+    )
