@@ -15,6 +15,7 @@ from .errors import (
     EmptyComplementError,
     EmptySubsetError,
     InputParseError,
+    InvalidArgumentError,
     IsolatedDirectionError,
     KirchhoffViolatedError,
     NoConvergenceError,

@@ -13,6 +13,11 @@ class InputParseError(DirlapError):
     """A file or argument could not be parsed at all."""
 
 
+class InvalidArgumentError(DirlapError, ValueError):
+    """A parameter is out of its documented range (too few angles, a
+    generator size below its minimum, a vertex id outside the graph)."""
+
+
 class SchemaViolationError(DirlapError):
     """Parsed input does not match the documented schema."""
 

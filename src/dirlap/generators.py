@@ -9,30 +9,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInstanceError
+from .errors import DegenerateInstanceError, InvalidArgumentError
 from .graph import DirectedGraph, build_graph
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """The splitmix64 finalizer of one state, mod 2^64.
+
+    Every product is masked, so the same expression takes a Python int or a
+    numpy uint64 array (whose products wrap mod 2^64) and gives the same
+    bits.
+    """
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
     """splitmix64: the public single-state 64-bit mixer.
 
-    step: x += 0x9E3779B97F4A7C15; z = x;
-          z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
-          z = (z ^ z>>27) * 0x94D049BB133111EB;
-          return z ^ z>>31   (all mod 2^64)
+    step: x += 0x9E3779B97F4A7C15; return _mix(x)   (all mod 2^64)
+
+    The state is a counter, so draw i after state x is _mix(x + i * gamma).
     """
 
     def __init__(self, seed: int):
         self._x = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._x = (self._x + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._x = (self._x + _GAMMA) & _MASK64
+        return _mix(self._x)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -62,14 +71,14 @@ def _dyadic_weight(rng: SplitMix64, lo: float, hi: float) -> float:
     if k_lo < 1:
         k_lo = 1
     if k_hi < k_lo:
-        raise ValueError(f"weight range [{lo}, {hi}] contains no k/8 grid point")
+        raise InvalidArgumentError(f"weight range [{lo}, {hi}] contains no k/8 grid point")
     return (k_lo + rng.next_below(k_hi - k_lo + 1)) / 8.0
 
 
 def gen_cycle(n: int, w: float = 1.0) -> DirectedGraph:
     """Directed n-cycle 0 -> 1 -> ... -> n-1 -> 0, constant weight, m = 1."""
     if n < 2:
-        raise ValueError("cycle needs n >= 2")
+        raise InvalidArgumentError("cycle needs n >= 2")
     return build_graph([1.0] * n, [(i, (i + 1) % n, w) for i in range(n)])
 
 
@@ -82,7 +91,7 @@ def gen_opposing_cycles(
     b(x, y) != b(y, x) on every pair, yet outflow == inflow everywhere.
     """
     if n < 3:
-        raise ValueError("opposing cycles need n >= 3")
+        raise InvalidArgumentError("opposing cycles need n >= 3")
     edges = [(i, (i + 1) % n, w_forward) for i in range(n)]
     edges += [((i + 1) % n, i, w_backward) for i in range(n)]
     return build_graph([1.0] * n, edges)
@@ -104,9 +113,9 @@ def gen_random_circulation(
     yields a relabeled weighted cycle.
     """
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise InvalidArgumentError("need n >= 3")
     if k_cycles < 1:
-        raise ValueError("need k_cycles >= 1")
+        raise InvalidArgumentError("need k_cycles >= 1")
     rng = SplitMix64(seed)
     for _attempt in range(100):
         accum: dict[tuple[int, int], float] = {}
@@ -145,9 +154,9 @@ def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> 
     infinity along the layers, the model of a heavy end.
     """
     if L < 1 or width < 2:
-        raise ValueError("need L >= 1 and width >= 2")
+        raise InvalidArgumentError("need L >= 1 and width >= 2")
     if gamma <= 0 or radial <= 0:
-        raise ValueError("gamma and radial must be > 0")
+        raise InvalidArgumentError("gamma and radial must be > 0")
     edges: list[tuple[int, int, float]] = []
 
     def vid(layer: int, j: int) -> int:
@@ -174,9 +183,9 @@ def gen_symmetric_tree(depth: int, branching: int, weight_growth: float = 1.0) -
     weight_growth**d in both directions. m = 1.
     """
     if depth < 1 or branching < 1:
-        raise ValueError("need depth >= 1 and branching >= 1")
+        raise InvalidArgumentError("need depth >= 1 and branching >= 1")
     if weight_growth <= 0:
-        raise ValueError("weight_growth must be > 0")
+        raise InvalidArgumentError("weight_growth must be > 0")
     edges: list[tuple[int, int, float]] = []
     level = [0]
     next_id = 1

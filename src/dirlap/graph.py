@@ -24,6 +24,7 @@ from ._io import dump_json, read_json, write_text_atomic
 from .errors import (
     DuplicateEdgeError,
     EmptySubsetError,
+    InvalidArgumentError,
     IsolatedDirectionError,
     NonPositiveMeasureError,
     NonPositiveWeightError,
@@ -206,7 +207,7 @@ def check_kirchhoff(g: DirectedGraph, tol: float | None = None) -> KirchhoffRepo
     it defaults to 1e-9 relative to max beta_plus.
     """
     if tol is not None and tol < 0:
-        raise ValueError("tol must be >= 0")
+        raise InvalidArgumentError(f"tol must be >= 0, got {tol}")
     diff = np.abs(g.beta_plus - g.beta_minus)
     effective = tol if tol is not None else KIRCHHOFF_DEFAULT_REL_TOL * float(g.beta_plus.max())
     violating = tuple(int(i) for i in np.flatnonzero(diff > effective))

@@ -38,6 +38,7 @@ from .errors import (
     DisconnectedError,
     EmptyComplementError,
     EmptySubsetError,
+    InvalidArgumentError,
     SubsetTooLargeError,
 )
 from .graph import DirectedGraph, hop_distances, subset_array
@@ -294,7 +295,7 @@ def build_filtration(g: DirectedGraph, root: int) -> Filtration:
     graph.
     """
     if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range 0..{g.n - 1}")
+        raise InvalidArgumentError(f"root {root} out of range 0..{g.n - 1}")
     dist = hop_distances(g, root)
     if np.any(dist < 0):
         raise DisconnectedError("filtration needs a connected graph")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import InvalidArgumentError, NoConvergenceError
 from .operators import Operator, to_euclidean
 
 _HERMITIAN_RTOL = 1e-12
@@ -111,31 +111,53 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBoundary:
     """Sample the numerical range boundary by a rotation sweep.
 
-    For each angle theta, the top eigenvector v of the Hermitian part of
-    e^{i theta} A (Euclidean coordinates) maximizes Re e^{i theta}(A f, f)
-    over unit f, so (A v, v) is a boundary point with outer normal
-    direction e^{-i theta}. Angles are 2 pi k / n_angles, k = 0..n_angles-1.
+    For each angle theta, the top eigenvector v of H(theta), the Hermitian
+    part of e^{i theta} A (Euclidean coordinates), maximizes
+    Re e^{i theta}(A f, f) over unit f, so (A v, v) is a boundary point with
+    outer normal direction e^{-i theta}. Angles are 2 pi k / n_angles,
+    k = 0..n_angles-1.
 
-    When the Euclidean matrix A is real, the Hermitian part of e^{-i theta} A
-    is the conjugate of that of e^{i theta} A, so W(A) is symmetric about
-    the real axis and the point at angle -theta is the conjugate of the
-    point at theta. The sweep then solves only k = 0..n_angles // 2
-    (n_angles // 2 + 1 eigensolves) and sets points[k] for larger k to
-    points[n_angles - k].conj() exactly. A complex A gets every angle solved.
+    One eigh of H(theta_k) fills every angle it determines:
+    - the top eigenvector gives angle k;
+    - when n_angles is even, the bottom eigenvector gives angle
+      k + n_angles / 2, because H(theta + pi) = -H(theta);
+    - when the Euclidean matrix A is real, H(-theta) is the conjugate of
+      H(theta), so each of these points, conjugated, also gives the
+      opposite angle (n_angles - j) % n_angles.
+    The loop visits k in ascending order and solves only the angles not yet
+    filled; each angle keeps the first value that reaches it, in the order
+    top, its conjugate, bottom, its conjugate. So points[(n_angles - k) %
+    n_angles] is exactly points[k].conj() for a real A (k other than 0 and
+    n_angles / 2). A real A takes n_angles // 4 + 1 eigensolves for an even
+    n_angles and n_angles // 2 + 1 for an odd one; a complex A takes
+    n_angles / 2 and n_angles.
     """
     if n_angles < 4:
-        raise ValueError("need n_angles >= 4")
+        raise InvalidArgumentError(f"need n_angles >= 4, got {n_angles}")
     euclidean = to_euclidean(op)
+    real = np.isrealobj(euclidean)
     a = euclidean.astype(complex)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
-    solved = n_angles // 2 + 1 if np.isrealobj(euclidean) else n_angles
+    filled = np.zeros(n_angles, dtype=bool)
     with converging():
-        for k in range(solved):
+        for k in range(n_angles):
+            if filled[k]:
+                continue
             _, vecs = np.linalg.eigh(hermitian_part(np.exp(1j * angles[k]) * a))
-            v = _phase_normalize(vecs[:, -1])
-            points[k] = v.conj() @ (a @ v)
-    points[solved:] = points[n_angles - solved : 0 : -1].conj()
+            ends = [(k, vecs[:, -1])]
+            if n_angles % 2 == 0:
+                ends.append((k + n_angles // 2, vecs[:, 0]))
+            for j, v in ends:
+                if filled[j]:
+                    continue
+                v = _phase_normalize(v)
+                points[j] = v.conj() @ (a @ v)
+                filled[j] = True
+                mirror = (n_angles - j) % n_angles
+                if real and not filled[mirror]:
+                    points[mirror] = points[j].conj()
+                    filled[mirror] = True
     return NumericalRangeBoundary(
         angles=angles, points=points, nu=float(points.real.min())
     )

@@ -363,6 +363,32 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("numrange", "{graph}", "--angles", "2"),
+            ("numrange", "{graph}", "--angles", "0"),
+            ("numrange", "{graph}", "--angles", "-5"),
+            ("gen", "cycle", "--n", "1", "--out", "{out}"),
+            ("gen", "circulation", "--n", "1", "--cycles", "1", "--seed", "0", "--out", "{out}"),
+            ("gen", "circulation", "--n", "5", "--wmin", "0.3", "--wmax", "0.32", "--out", "{out}"),
+            ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
+            ("infinity", "{graph}", "--root", "99"),
+            ("check", "{graph}", "--tol", "-1"),
+        ],
+        ids=[
+            "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
+            "circulation-empty-weight-range", "layered-0", "infinity-root", "check-tol",
+        ],
+    )
+    def test_invalid_argument(self, triangle_file, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        argv = [a.format(graph=triangle_file, out=out) for a in argv]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and stdout == ""
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

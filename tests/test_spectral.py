@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import full_sweep_boundary, hull_distance, spectra_mismatch, support_value
 
 import dirlap.spectral
@@ -154,40 +156,63 @@ def complex_operator():
     return Operator(matrix=op.matrix * np.exp(0.3j), metric=op.metric, kind=op.kind)
 
 
+def top_filled_angles(n_angles, real):
+    """The solved angles, each of which takes the top eigenvector of its
+    own solve: k = 0..n_angles // 4 for a real operator and an even count,
+    k = 0..n_angles // 2 for a real operator and an odd count, the first
+    half for a complex operator and an even count, and every angle for a
+    complex operator and an odd count."""
+    if real:
+        last = n_angles // 4 if n_angles % 2 == 0 else n_angles // 2
+        return set(range(last + 1))
+    return set(range(n_angles // 2 if n_angles % 2 == 0 else n_angles))
+
+
+def assert_matches_full_sweep(op, n_angles):
+    """Compare the paired sweep with the every-angle oracle: top-filled
+    points by bytes, every other point by its support value, and by the
+    point itself where the top eigenvalue of its direction is simple."""
+    bdry = numerical_range_boundary(op, n_angles)
+    angles, expected = full_sweep_boundary(op, n_angles)
+    assert bdry.angles.tobytes() == angles.tobytes()
+    a = to_euclidean(op)
+    top_filled = top_filled_angles(n_angles, np.isrealobj(a))
+    for k in range(n_angles):
+        p, q = bdry.points[k], expected[k]
+        if k in top_filled:
+            assert p.tobytes() == q.tobytes()
+            continue
+        tol = 1e-12 * (1.0 + abs(q))
+        direction = np.exp(1j * angles[k])
+        assert abs((p * direction).real - (q * direction).real) <= tol
+        # where the top eigenvalue is multiple, the range has a flat edge
+        # normal to this direction (the 3-cycle's triangle at 96 angles)
+        # and any point of that edge is a valid answer
+        rotated = direction * a
+        top = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-2:]
+        if top[1] - top[0] > 1e-8:
+            assert abs(p - q) <= tol
+    assert bdry.nu == float(bdry.points.real.min())
+    return bdry
+
+
 class TestMirroredSweep:
     @pytest.mark.parametrize("n_angles", SWEEP_ANGLES)
     @pytest.mark.parametrize("name", sorted(SWEEP_OPERATORS))
     def test_real_operator_matches_full_sweep(self, name, n_angles):
-        op = SWEEP_OPERATORS[name]()
-        bdry = numerical_range_boundary(op, n_angles)
-        angles, expected = full_sweep_boundary(op, n_angles)
-        half = n_angles // 2 + 1
-        assert bdry.angles.tobytes() == angles.tobytes()
-        assert bdry.points[:half].tobytes() == expected[:half].tobytes()
-        a = to_euclidean(op)
-        for k in range(half, n_angles):
-            p, q = bdry.points[k], expected[k]
-            assert p.tobytes() == bdry.points[n_angles - k].conj().tobytes()
-            tol = 1e-12 * (1.0 + abs(q))
-            direction = np.exp(1j * angles[k])
-            assert abs((p * direction).real - (q * direction).real) <= tol
-            # where the top eigenvalue is multiple, the range has a flat edge
-            # normal to this direction (the 3-cycle's triangle at 96 angles)
-            # and any point of that edge is a valid answer
-            rotated = direction * a
-            top = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-2:]
-            if top[1] - top[0] > 1e-8:
-                assert abs(p - q) <= tol
-        assert bdry.nu == float(bdry.points.real.min())
+        bdry = assert_matches_full_sweep(SWEEP_OPERATORS[name](), n_angles)
+        # bitwise conjugates, except at the two real-axis directions
+        for k in set(range(1, n_angles)) - {n_angles // 2 if n_angles % 2 == 0 else None}:
+            assert bdry.points[k].tobytes() == bdry.points[n_angles - k].conj().tobytes()
 
     @pytest.mark.parametrize("n_angles", SWEEP_ANGLES)
     def test_complex_operator_solves_every_angle(self, n_angles):
-        op = complex_operator()
-        bdry = numerical_range_boundary(op, n_angles)
-        _, expected = full_sweep_boundary(op, n_angles)
-        assert bdry.points.tobytes() == expected.tobytes()
+        # no point is a mirror: each is the extreme eigenvector of its own
+        # direction, from the top of its own solve or the bottom of the
+        # opposite angle's
+        assert_matches_full_sweep(complex_operator(), n_angles)
 
-    @pytest.mark.parametrize("n_angles, solves", [(4, 3), (5, 3), (16, 9), (360, 181)])
+    @pytest.mark.parametrize("n_angles, solves", [(4, 2), (5, 3), (16, 5), (360, 91)])
     def test_eigensolve_count(self, monkeypatch, n_angles, solves):
         calls = []
         eigh = dirlap.spectral.np.linalg.eigh
@@ -198,10 +223,45 @@ class TestMirroredSweep:
 
         monkeypatch.setattr(dirlap.spectral.np.linalg, "eigh", counting_eigh)
         numerical_range_boundary(assemble(gen_cycle(3), "delta"), n_angles)
-        assert len(calls) == solves
+        assert len(calls) == solves == len(top_filled_angles(n_angles, True))
         calls.clear()
         numerical_range_boundary(complex_operator(), n_angles)
-        assert len(calls) == n_angles
+        assert len(calls) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
+
+
+@st.composite
+def cycle_sums(draw):
+    """A balanced graph on 3..10 vertices: a weighted cycle through every
+    vertex plus up to three weighted cycles on random vertex subsets, with
+    contributions to the same ordered pair summed."""
+    n = draw(st.integers(3, 10))
+    weight = st.floats(0.25, 4.0)
+    cycles = [(draw(st.permutations(range(n))), draw(weight))]
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.permutations(range(n)))
+        cycles.append((order[: draw(st.integers(2, n))], draw(weight)))
+    total = {}
+    for order, w in cycles:
+        for u, v in zip(order, order[1:] + order[:1]):
+            total[(u, v)] = total.get((u, v), 0.0) + w
+    return build_graph([1.0] * n, [(u, v, w) for (u, v), w in sorted(total.items())])
+
+
+class TestSweepProperties:
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(g=cycle_sums(), n_angles=st.integers(4, 40))
+    def test_points_attain_the_support_function(self, g, n_angles):
+        for kind in ("delta", "normalized_delta"):
+            op = assemble(g, kind)
+            bdry = numerical_range_boundary(op, n_angles)
+            a = to_euclidean(op)
+            for theta, p in zip(bdry.angles, bdry.points):
+                rotated = np.exp(1j * theta) * a
+                top = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-1]
+                assert abs((p * np.exp(1j * theta)).real - top) <= 1e-12 * (1.0 + abs(top))
+            if kind == "normalized_delta":
+                # the Schur test puts W(A) in the disc |z - 1| <= 1
+                assert np.all(np.abs(bdry.points - 1.0) <= 1.0 + 1e-12)
 
 
 class TestNu:

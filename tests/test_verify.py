@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from dirlap import (
     verify_green,
     verify_kyfan,
 )
-from dirlap.verify import _report
+from dirlap.verify import _GREEN_SEED, _draw, _report
 from util import loop_verify_fujiwara, loop_verify_green, pi_circulation
 
 
@@ -123,6 +124,24 @@ class TestStackedChecksMatchLoops:
         want = loop_verify_fujiwara(g, omega, "pi", n_vectors=count)
         assert _report_bytes(got) == _report_bytes(want)
         assert len(got.lhs) == (5 if count else 3)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("seed", [0, _GREEN_SEED, 2**64 - 1, 12345])
+    def test_equals_scalar_stream(self, seed):
+        for n in (1, 2, 3, 7, 23, 300):
+            for count in (0, 1, 5):
+                block, scalar = SplitMix64(seed), SplitMix64(seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    drawn = _draw(block, count, n)
+                expected = np.array(
+                    [scalar.complex_vector(n) for _ in range(count)], dtype=complex
+                ).reshape(count, n)
+                assert drawn.shape == expected.shape
+                assert drawn.tobytes() == expected.tobytes()
+                assert block._x == scalar._x
+                assert block.next_u64() == scalar.next_u64()
 
 
 class TestBounded:
