@@ -14,9 +14,11 @@ cheeger_exact enumerates every subset of Omega (cap: |Omega| <= 22) with
 tables indexed by bitmask: the cut of every subset, and its measure or
 outflow. Each table entry adds its terms in one fixed order (see
 _cut_table), so values and witnesses are the same bit for bit however the
-tables are built. A table takes 8 * 2^k bytes, 32 MB at k = 22; the last
-cut table is kept between calls, so the two normalizations of one subset
-share it. cheeger_heuristic runs a spectral sweep cut plus
+tables are built. A table takes 8 * 2^k bytes, 32 MB at k = 22. One call
+builds the cut table once, evaluates both normalizations from it and frees
+it; the two results are cached per graph and subset, so a later call for
+either normalization of the same subset enumerates nothing. No table is
+kept after the call. cheeger_heuristic runs a spectral sweep cut plus
 greedy single-vertex exchange and returns an upper bound; cheeger picks the
 first when Omega is small enough and the second otherwise.
 
@@ -50,6 +52,13 @@ NORMALIZATIONS = ("measure", "beta_plus")
 
 # slack used when reporting whether a profile sequence is monotone
 _MONOTONE_SLACK = 1e-12
+
+# exact results kept, per graph and subset. On more than 9 vertices
+# verify_graph asks for at most 11 distinct subsets (3 single vertices, 4
+# filtration levels, 4 complements) before its essential-spectrum profile
+# asks for the first complement again; smaller graphs are swept exhaustively
+# over subsets of at most 9 vertices, which cost little to enumerate again.
+_RESULTS_CACHE_SIZE = 11
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,6 @@ def _subset_sums(vals: np.ndarray) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1)
 def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
     """table[S] = total weight of directed edges leaving or entering the
     subset of ids encoded by bitmask S (boundary taken in the full graph).
@@ -108,10 +116,7 @@ def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
     order. Any other way of computing the table must add in this order to
     keep cuts, ratios and witnesses bit for bit.
 
-    A table takes 8 * 2^k bytes (32 MB at k = 22). The last one built is
-    kept, read-only, for the next call with the same graph and subset: it
-    does not depend on the normalization, and the graph is hashed by
-    identity and held by the cache, so its id cannot be reused meanwhile.
+    A table takes 8 * 2^k bytes (32 MB at k = 22).
     """
     idx = np.asarray(ids, dtype=np.int64)
     k = idx.size
@@ -133,7 +138,6 @@ def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
             v = cut.reshape(1 << (k - j - 1), 2, 1 << (j - i - 1), 2, 1 << i)
             v[:, 1, :, 0, :] += w
             v[:, 0, :, 1, :] += w
-    cut.flags.writeable = False
     return cut
 
 
@@ -141,24 +145,12 @@ def _mask_to_ids(mask: int, idx: np.ndarray) -> tuple[int, ...]:
     return tuple(int(idx[i]) for i in range(idx.size) if (mask >> i) & 1)
 
 
-def cheeger_exact(
-    g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
+def _min_ratio(
+    g: DirectedGraph, idx: np.ndarray, cut: np.ndarray, normalization: str
 ) -> CheegerResult:
-    """Exact constant by enumeration of all non-empty subsets of omega.
-
-    Raises SubsetTooLargeError when |omega| > 22. Ties on the optimal value
-    are broken toward the lexicographically smallest witness (subsets
-    compared as sorted id lists).
-    """
-    denom_vals = _denominator_values(g, normalization)
-    idx = subset_array(g, omega)
-    k = idx.size
-    if k > MAX_EXACT_SUBSET:
-        raise SubsetTooLargeError(
-            f"|omega| = {k} exceeds the exact enumeration cap {MAX_EXACT_SUBSET}"
-        )
-    cut = _cut_table(g, tuple(idx.tolist()))
-    denom = _subset_sums(denom_vals[idx])
+    """Smallest cut-to-denominator ratio over the non-empty masks of cut,
+    with the lexicographically smallest witness among the ties."""
+    denom = _subset_sums(_denominator_values(g, normalization)[idx])
     denom[0] = 1.0  # avoid 0/0; the empty subset is excluded below
     ratios = np.divide(cut, denom, out=denom)
     ratios[0] = np.inf
@@ -168,6 +160,42 @@ def cheeger_exact(
     return CheegerResult(
         value=float(best), witness=witness, mode="exact", normalization=normalization
     )
+
+
+@lru_cache(maxsize=_RESULTS_CACHE_SIZE)
+def _exact_results(g: DirectedGraph, ids: tuple[int, ...]) -> tuple[CheegerResult, ...]:
+    """Exact results for every normalization, in NORMALIZATIONS order, from
+    one cut table over the sorted ids.
+
+    The table is freed on return, and each normalization's denominator
+    table is freed before the next one is built, so a call holds at most
+    two 2^k tables. The graph is hashed by identity and held by the cache,
+    so its id cannot be reused while the entry lives.
+    """
+    idx = np.asarray(ids, dtype=np.int64)
+    cut = _cut_table(g, ids)
+    return tuple(_min_ratio(g, idx, cut, normalization) for normalization in NORMALIZATIONS)
+
+
+def cheeger_exact(
+    g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
+) -> CheegerResult:
+    """Exact constant by enumeration of all non-empty subsets of omega.
+
+    Raises SubsetTooLargeError when |omega| > 22. Ties on the optimal value
+    are broken toward the lexicographically smallest witness (subsets
+    compared as sorted id lists). Both normalizations are computed and
+    cached together, so the other one of the same graph and subset is
+    returned without enumerating again.
+    """
+    _denominator_values(g, normalization)  # raises on an unknown normalization
+    idx = subset_array(g, omega)
+    k = idx.size
+    if k > MAX_EXACT_SUBSET:
+        raise SubsetTooLargeError(
+            f"|omega| = {k} exceeds the exact enumeration cap {MAX_EXACT_SUBSET}"
+        )
+    return _exact_results(g, tuple(idx.tolist()))[NORMALIZATIONS.index(normalization)]
 
 
 def _toggle_deltas(g: DirectedGraph, crossed: np.ndarray) -> np.ndarray:
@@ -255,6 +283,11 @@ def cheeger_heuristic(
     )
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise InvalidArgumentError(f"budget must be >= 0, got {budget}")
+
+
 def cheeger(
     g: DirectedGraph,
     omega: Iterable[int],
@@ -262,7 +295,9 @@ def cheeger(
     budget: int = MAX_EXACT_SUBSET,
 ) -> CheegerResult:
     """Exact constant when |omega| <= min(budget, 22), otherwise the
-    heuristic upper bound; the result's mode says which one ran."""
+    heuristic upper bound; the result's mode says which one ran. A negative
+    budget raises InvalidArgumentError."""
+    _check_budget(budget)
     idx = subset_array(g, omega)
     solve = cheeger_exact if idx.size <= min(budget, MAX_EXACT_SUBSET) else cheeger_heuristic
     return solve(g, idx, normalization)
@@ -361,8 +396,10 @@ def infinity_profile(
     (hard-limited by the exact cap 22); larger complements fall back to the
     heuristic and are flagged via h_mode / h_tilde_mode and all_exact.
     Levels whose complement is empty (the final exhausting level) are
-    skipped; at least one usable level must remain.
+    skipped; at least one usable level must remain. A negative budget
+    raises InvalidArgumentError.
     """
+    _check_budget(budget)
     if len(filt.levels) < 2:
         raise ValueError("filtration needs at least 2 levels")
     delta = assemble(g, "delta")

@@ -374,11 +374,13 @@ class TestErrorPaths:
             ("gen", "circulation", "--n", "5", "--wmin", "0.3", "--wmax", "0.32", "--out", "{out}"),
             ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
             ("infinity", "{graph}", "--root", "99"),
+            ("infinity", "{graph}", "--budget", "-5"),
             ("check", "{graph}", "--tol", "-1"),
         ],
         ids=[
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
-            "circulation-empty-weight-range", "layered-0", "infinity-root", "check-tol",
+            "circulation-empty-weight-range", "layered-0", "infinity-root", "budget-negative",
+            "check-tol",
         ],
     )
     def test_invalid_argument(self, triangle_file, tmp_path, capsys, argv):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_spectral import cycle_sums
 from util import bitwise_subset_sums, brute_cheeger, mask_cut_table
 
 from dirlap import (
@@ -9,6 +12,7 @@ from dirlap import (
     DisconnectedError,
     EmptyComplementError,
     Filtration,
+    InvalidArgumentError,
     SubsetTooLargeError,
     build_filtration,
     build_graph,
@@ -21,9 +25,11 @@ from dirlap import (
     gen_random_circulation,
     gen_symmetric_tree,
     infinity_profile,
+    isoperimetric,
     m_M_constants,
+    verify_graph,
 )
-from dirlap.isoperimetric import _cut_table, _subset_sums
+from dirlap.isoperimetric import _cut_table, _exact_results, _subset_sums
 
 
 def subset_ratio(g, members, normalization):
@@ -32,6 +38,38 @@ def subset_ratio(g, members, normalization):
     cut = sum(w for u, v, w in g.edges() if (u in inside) != (v in inside))
     vals = g.measure if normalization == "measure" else g.beta_plus
     return cut / sum(vals[v] for v in inside)
+
+
+def oracle_result(g, omega, normalization):
+    """(value.hex(), witness) of the exact constant from the mask oracles."""
+    idx = np.asarray(sorted(set(omega)))
+    vals = g.measure if normalization == "measure" else g.beta_plus
+    ratios = mask_cut_table(g, idx)[1:] / bitwise_subset_sums(vals[idx])[1:]
+    best = ratios.min()
+    members = [[int(v) for i, v in enumerate(idx) if (m + 1) >> i & 1]
+               for m in np.flatnonzero(ratios == best).tolist()]
+    return best.hex(), tuple(min(members))
+
+
+def rescaled(g):
+    """The same edges with weights times pi and measures 1 + i / 8: another
+    balanced graph with the same vertex ids."""
+    return build_graph(
+        [1.0 + i / 8 for i in range(g.n)], [(u, v, w * math.pi) for u, v, w in g.edges()]
+    )
+
+
+@pytest.fixture
+def cut_table_sizes(monkeypatch):
+    """Sizes of the cut tables built while the fixture is active, in order."""
+    sizes = []
+
+    def counting(g, ids):
+        sizes.append(len(ids))
+        return _cut_table(g, ids)
+
+    monkeypatch.setattr(isoperimetric, "_cut_table", counting)
+    return sizes
 
 
 class TestCheegerExact:
@@ -144,12 +182,10 @@ class TestCutTables:
             for vals in (g.measure[omega], g.beta_plus[omega], g.edge_weight[:k] * math.e):
                 assert _subset_sums(vals).tobytes() == bitwise_subset_sums(vals).tobytes()
 
-    def test_shared_table_gives_each_call_its_own_result(self):
+    def test_cached_results_give_each_call_its_own_result(self):
         # two graphs with the same vertex ids, two subsets, both normalizations
         base = gen_random_circulation(12, 5, seed=3)
-        other = build_graph(
-            [1.0 + i / 8 for i in range(12)], [(u, v, w * math.pi) for u, v, w in base.edges()]
-        )
+        other = rescaled(base)
         calls = [
             (g, omega, normalization)
             for omega in ([0, 2, 3, 5, 7, 8, 11], list(range(1, 10)))
@@ -161,34 +197,49 @@ class TestCutTables:
             res = cheeger_exact(*call)
             return res.value.hex(), res.witness
 
-        def reference(g, omega, normalization):
-            idx = np.asarray(omega)
-            vals = g.measure if normalization == "measure" else g.beta_plus
-            ratios = mask_cut_table(g, idx)[1:] / bitwise_subset_sums(vals[idx])[1:]
-            best = ratios.min()
-            members = [[int(v) for i, v in enumerate(idx) if (m + 1) >> i & 1]
-                       for m in np.flatnonzero(ratios == best).tolist()]
-            return best.hex(), tuple(min(members))
-
         alone = []
         for call in calls:
-            _cut_table.cache_clear()
+            _exact_results.cache_clear()
             alone.append(result(call))
-            assert alone[-1] == reference(*call)
-        _cut_table.cache_clear()
+            assert alone[-1] == oracle_result(*call)
+        _exact_results.cache_clear()
         # alternate between the two subsets, then run everything backwards
         order = [i for pair in zip(range(4), range(4, 8)) for i in pair] + list(range(8))[::-1]
         for i in order:
             assert result(calls[i]) == alone[i], calls[i][1:]
-        # the two normalizations of one subset share one table
-        _cut_table.cache_clear()
-        for normalization in NORMALIZATIONS:
-            cheeger_exact(base, [0, 2, 3, 5], normalization)
-        assert _cut_table.cache_info().misses == 1
-        table = _cut_table(base, (0, 2, 3, 5))
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[1] = 0.0
+
+    def test_both_normalizations_cost_one_build(self, cut_table_sizes):
+        g = gen_random_circulation(12, 5, seed=3)
+        for normalization in NORMALIZATIONS * 2:
+            cheeger_exact(g, [0, 2, 3, 5], normalization)
+        assert cut_table_sizes == [4]
+        assert _exact_results.cache_info().misses == 1
+
+    def test_verify_builds_each_subset_once(self, cut_table_sizes):
+        # n = 23: the sandwich and Fujiwara checks ask for the filtration
+        # complements of sizes 22, 18 and 6 before the essential-spectrum
+        # profile asks for them again
+        verify_graph(gen_random_circulation(23, 4, seed=4))
+        assert cut_table_sizes == [1, 1, 1, 22, 5, 18, 17, 6]
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), g=cycle_sums())
+    def test_call_history_cannot_change_a_result(self, data, g):
+        graphs = (g, rescaled(g))
+        vertex_sets = st.sets(st.integers(0, g.n - 1), min_size=1)
+        pool = data.draw(st.lists(vertex_sets, min_size=1, max_size=3))
+        calls = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(graphs), st.sampled_from(pool), st.sampled_from(NORMALIZATIONS)
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        for h, omega, normalization in calls:
+            res = cheeger_exact(h, sorted(omega), normalization)
+            assert (res.value.hex(), res.witness) == oracle_result(h, omega, normalization)
 
 
 class TestCheegerHeuristic:
@@ -271,6 +322,17 @@ class TestCheegerAuto:
             assert result.mode == mode, (size, budget)
         assert cheeger(g, range(5)) == cheeger_exact(g, range(5))
         assert cheeger(g, range(23)) == cheeger_heuristic(g, range(23))
+
+    def test_negative_budget_is_rejected(self):
+        g = gen_layered_heavy(3, 3, gamma=2.0)
+        filt = build_filtration(g, 0)
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            cheeger(g, range(3), "measure", -1)
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            infinity_profile(g, filt, budget=-5)
+        # a zero budget is valid and sends every subset to the heuristic
+        assert cheeger(g, range(3), "measure", 0).mode == "upper_bound"
+        assert not infinity_profile(g, filt, budget=0).all_exact
 
 
 class TestMMConstants:
