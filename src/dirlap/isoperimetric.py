@@ -12,15 +12,19 @@ the one-directional cut.
 
 cheeger_exact enumerates every subset of Omega (cap: |Omega| <= 22) with
 tables indexed by bitmask: the cut of every subset, and its measure or
-outflow. Each table entry adds its terms in one fixed order (see
-_cut_table), so values and witnesses are the same bit for bit however the
-tables are built. A table takes 8 * 2^k bytes, 32 MB at k = 22. One call
-builds the cut table once, evaluates both normalizations from it and frees
-it; the two results are cached per graph and subset, so a later call for
-either normalization of the same subset enumerates nothing. No table is
-kept after the call. cheeger_heuristic runs a spectral sweep cut plus
-greedy single-vertex exchange and returns an upper bound; cheeger picks the
-first when Omega is small enough and the second otherwise.
+outflow. A cut entry adds one packet per vertex of Omega in ascending
+order: the vertex's pair weights to lower neighbours inside the subset, or,
+for a member, its external weight plus its pair weights to lower neighbours
+outside (see _cut_table). The cut table is built by doubling in
+O(2^k + sum over vertices of 2^(lower neighbours)) element updates, and
+values and witnesses follow from that order bit for bit. A table takes
+8 * 2^k bytes, 32 MB at k = 22. One call builds the cut table once,
+evaluates both normalizations from it and frees it; the two results are
+cached per graph and subset, so a later call for either normalization of
+the same subset enumerates nothing. No table is kept after the call.
+cheeger_heuristic runs a spectral sweep cut plus greedy single-vertex
+exchange and returns an upper bound; cheeger picks the first when Omega is
+small enough and the second otherwise.
 
 A filtration is a nested exhausting family of connected subsets; profiling
 the complements (min/max vertex ratios, Cheeger constants, Dirichlet
@@ -110,13 +114,20 @@ def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
     """table[S] = total weight of directed edges leaving or entering the
     subset of ids encoded by bitmask S (boundary taken in the full graph).
 
-    Every entry is the subset sum of the vertices' external weights, then
-    the weight of each internal pair (i, j) that S separates, pairs taken
-    in lexicographic order; a pair's weight sums both directions in edge
-    order. Any other way of computing the table must add in this order to
-    keep cuts, ratios and witnesses bit for bit.
+    Every entry adds one packet per vertex t in ascending order,
+    ((0.0 + p_0) + p_1) + ... + p_(k-1). With I_t[S] and O_t[S] the sums of
+    the weights of t's pairs with its lower neighbours inside and outside S,
+    each starting from 0.0 and adding in ascending neighbour order, p_t is
+    ext_t + O_t[S] when t is in S and I_t[S] otherwise; ext_t is t's weight
+    to and from vertices outside ids, and a pair's weight sums both
+    directions in edge order.
 
-    A table takes 8 * 2^k bytes (32 MB at k = 22).
+    Built by doubling: once cut[:2^t] holds the subsets of the vertices
+    below t, cut[2^t : 2^(t+1)] = lower half + (ext_t + O_t), then
+    lower half += I_t. I_t is one subset-sum table over t's d_t lower
+    neighbours, broadcast with one axis per neighbour bit, and O_t is that
+    table reversed, so the build costs O(2^k + sum of 2^(d_t)). A table
+    takes 8 * 2^k bytes (32 MB at k = 22).
     """
     idx = np.asarray(ids, dtype=np.int64)
     k = idx.size
@@ -126,18 +137,44 @@ def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
     p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
     leaving = (p_own >= 0) & (p_nbr < 0)
     ext = np.bincount(p_own[leaving], weights=adj.weight[leaving], minlength=k)
-    cut = _subset_sums(ext)
-    # each internal pair i < j, seen from i, with the weights of both directions summed
+    # each internal pair i < j, seen from i, with the weights of both
+    # directions summed; sorted by j, then by i
     inner = (p_own >= 0) & (p_own < p_nbr)
-    pairs, which = np.unique(p_own[inner] * k + p_nbr[inner], return_inverse=True)
-    if pairs.size:
-        pair_weight = np.bincount(which, weights=adj.weight[inner])
-        for key, w in zip(pairs.tolist(), pair_weight.tolist()):
-            i, j = divmod(key, k)
-            # axes: bits above j, bit j, bits between, bit i, bits below i
-            v = cut.reshape(1 << (k - j - 1), 2, 1 << (j - i - 1), 2, 1 << i)
-            v[:, 1, :, 0, :] += w
-            v[:, 0, :, 1, :] += w
+    pairs, which = np.unique(p_nbr[inner] * k + p_own[inner], return_inverse=True)
+    pair_weight = np.bincount(which, weights=adj.weight[inner])
+    # the pairs of vertex t are the keys in [t * k, (t + 1) * k)
+    bounds = np.searchsorted(pairs, k * np.arange(k + 1)).tolist()
+    lower = (pairs % k).tolist()
+    cut = np.zeros(1 << k)
+    for t in range(k):
+        half = cut[: 1 << t]
+        start, stop = bounds[t], bounds[t + 1]
+        if start == stop:
+            np.add(half, ext[t], out=cut[1 << t : 2 << t])
+            continue
+        # axes of the lower half from its top bit down: one of size 2 per
+        # lower neighbour, one for each run of bits between neighbours
+        shape, packet_shape, top = [], [], t
+        for j in reversed(lower[start:stop]):
+            if top - j > 1:
+                shape.append(1 << (top - j - 1))
+                packet_shape.append(1)
+            shape.append(2)
+            packet_shape.append(2)
+            top = j
+        if top:
+            shape.append(1 << top)
+            packet_shape.append(1)
+        inside = _subset_sums(pair_weight[start:stop])
+        half = half.reshape(shape)
+        # ext_t + O_t is a temporary, so at most two tables of 2^d_t entries
+        # live beside the cut table
+        np.add(
+            half,
+            (ext[t] + inside[::-1]).reshape(packet_shape),
+            out=cut[1 << t : 2 << t].reshape(shape),
+        )
+        half += inside.reshape(packet_shape)
     return cut
 
 

@@ -10,6 +10,7 @@ stream, so outputs are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -27,6 +28,7 @@ from .isoperimetric import (
     m_M_constants,
 )
 from .operators import (
+    Operator,
     _green_defect,
     assemble,
     dirichlet,
@@ -116,6 +118,19 @@ def _omega_tag(omega: Iterable[int]) -> str:
     return "{" + ",".join(str(int(v)) for v in sorted(set(omega))) + "}"
 
 
+@lru_cache(maxsize=2)
+def _assembled(g: DirectedGraph, kind: str) -> Operator:
+    """assemble(g, kind), built once per graph and kind while the entry lives.
+
+    The checks use two kinds, "delta" and "normalized_delta", so one graph's
+    operators stay cached while verify_graph runs over it. Every array of an
+    assembled operator is read-only, so the checks share it safely. The
+    graph is hashed by identity and held by the cache, so its id cannot be
+    reused while the entry lives.
+    """
+    return assemble(g, kind)
+
+
 def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
     """count random complex vectors of length n, one per row, in draw order.
 
@@ -153,7 +168,7 @@ def verify_bounded(
 ) -> TheoremReport:
     """Normalized operator: norm <= 2, numerical range in the unit-radius
     disc centered at 1, and (connected case) a simple zero eigenvalue."""
-    op = assemble(g, "normalized_delta")
+    op = _assembled(g, "normalized_delta")
     norm = operator_norm(op)
     samples = numerical_range_boundary(op, n_angles)
     max_dist = float(np.max(np.abs(samples.points - 1.0)))
@@ -206,7 +221,7 @@ def verify_dirichlet_bounds(
     vertex_boundary, _ = boundaries(g, idx)
     if not vertex_boundary:
         raise ValueError("omega must have a non-empty vertex boundary")
-    op = dirichlet(assemble(g, "normalized_delta"), idx)
+    op = dirichlet(_assembled(g, "normalized_delta"), idx)
     lam = eig(op.matrix).eigenvalues
     re_low = float(lam[0].real)
     re_high = float(lam[-1].real)
@@ -245,8 +260,8 @@ def verify_cheeger_sandwich(
     idx = subset_array(g, omega)
     h = cheeger_exact(g, idx, "measure").value
     ht = cheeger_exact(g, idx, "beta_plus").value
-    nu_m = nu(dirichlet(assemble(g, "delta"), idx))
-    nu_t = nu(dirichlet(assemble(g, "normalized_delta"), idx))
+    nu_m = nu(dirichlet(_assembled(g, "delta"), idx))
+    nu_t = nu(dirichlet(_assembled(g, "normalized_delta"), idx))
     m_c, M_c = m_M_constants(g, idx)
     pairs = [
         (h * h / 8.0, M_c * nu_m),
@@ -280,8 +295,8 @@ def verify_fujiwara(
     idx = subset_array(g, omega)
     ht = cheeger_exact(g, idx, "beta_plus").value
     m_c, M_c = m_M_constants(g, idx)
-    op_m = dirichlet(assemble(g, "delta"), idx)
-    op_t = dirichlet(assemble(g, "normalized_delta"), idx)
+    op_m = dirichlet(_assembled(g, "delta"), idx)
+    op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
     samples = numerical_range_boundary(op_m, n_angles)
     rho = float(samples.points.real.min())
     sigma = float(samples.points.real.max())
@@ -369,7 +384,7 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     reports = [
         verify_green(g, name),
         verify_bounded(g, name),
-        verify_kyfan(to_euclidean(assemble(g, "normalized_delta")), f"{name}|normalized_delta"),
+        verify_kyfan(to_euclidean(_assembled(g, "normalized_delta")), f"{name}|normalized_delta"),
     ]
     connected, _ = connectivity(g)
     filt = build_filtration(g, 0) if connected else None

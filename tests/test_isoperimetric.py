@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -240,6 +243,85 @@ class TestCutTables:
         for h, omega, normalization in calls:
             res = cheeger_exact(h, sorted(omega), normalization)
             assert (res.value.hex(), res.witness) == oracle_result(h, omega, normalization)
+
+
+def exact_cuts(g, omega):
+    """Per non-empty mask of the sorted omega, the exact rational cut of the
+    stored floats, summed straight off the edge list."""
+    cuts = {}
+    for mask in range(1, 1 << len(omega)):
+        inside = {v for i, v in enumerate(omega) if mask >> i & 1}
+        crossing = (w for u, v, w in g.edges() if (u in inside) != (v in inside))
+        cuts[mask] = sum(map(Fraction, crossing), Fraction(0))
+    return cuts
+
+
+class TestExactRationalBounds:
+    """Rounding bounds against exact rational sums, which hold in whatever
+    order the tables add. A sum of at most E non-negative terms rounds by at
+    most E * 2^-53 relative, so a cut (at most E edge weights) is within
+    E * 2^-53 and a ratio (cut, at most k measures, one division) within
+    (E + k + 2) * 2^-53 of its exact value. The witness's rounded ratio is
+    no larger than the minimum's, so its exact ratio is within twice the
+    ratio bound of the exact minimum."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), g=cycle_sums())
+    def test_cuts_values_and_witnesses(self, data, g):
+        h = data.draw(st.sampled_from((g, rescaled(g))))
+        omega = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=12)))
+        edges = h.edge_weight.size
+        table = _cut_table(h, tuple(omega))
+        cuts = exact_cuts(h, omega)
+        for mask, cut in cuts.items():
+            assert abs(Fraction(float(table[mask])) - cut) * 2**53 <= edges * cut
+        ratio_terms = edges + len(omega) + 2
+        for normalization in NORMALIZATIONS:
+            source = h.measure if normalization == "measure" else h.beta_plus
+            vals = [Fraction(float(source[v])) for v in omega]
+            ratios = {
+                mask: cut / sum(x for i, x in enumerate(vals) if mask >> i & 1)
+                for mask, cut in cuts.items()
+            }
+            best = min(ratios.values())
+            res = cheeger_exact(h, omega, normalization)
+            assert abs(Fraction(res.value) - best) * 2**53 <= ratio_terms * best
+            witness = sum(1 << omega.index(v) for v in res.witness)
+            assert (ratios[witness] - best) * 2**53 <= 2 * ratio_terms * best
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc, which sees numpy's buffers, while
+    fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExactMemory:
+    def test_cut_table_holds_one_table(self):
+        # the root complement of the n = 23 verify graph: 22 vertices, 32 MB
+        g = gen_random_circulation(23, 4, seed=4)
+        g.adjacency  # built before tracing
+        assert traced_peak(_cut_table, g, tuple(range(1, 23))) <= 1.1 * 8 * 2**22
+
+    def test_exact_results_hold_two_tables(self):
+        # every pair of the 16 vertices joined, so the last vertex's packet
+        # tables have 2^15 entries each
+        n = 18
+        g = build_graph(
+            [1.0] * n,
+            [
+                (u, v, 1.0 + (3 * u + v) % 5)
+                for a, b in combinations(range(n), 2)
+                for u, v in ((a, b), (b, a))
+            ],
+        )
+        g.adjacency, g.beta_plus  # built before tracing
+        assert traced_peak(_exact_results, g, tuple(range(1, 17))) <= 2.25 * 8 * 2**16
 
 
 class TestCheegerHeuristic:

@@ -29,6 +29,7 @@ from dirlap import (
     verify_green,
     verify_kyfan,
 )
+from dirlap import verify
 from dirlap.verify import _GREEN_SEED, _draw, _report
 from util import loop_verify_fujiwara, loop_verify_green, pi_circulation
 
@@ -321,3 +322,29 @@ class TestVerifyGraph:
     def test_instance_names_carry_graph_name(self):
         reports = verify_graph(gen_cycle(3), "tri")
         assert all(r.instance.startswith("tri") for r in reports)
+
+    def test_each_operator_kind_is_assembled_once(self, monkeypatch):
+        # n = 23: 8 selected subsets, each checked by the Dirichlet bounds,
+        # the sandwich and Fujiwara; every check used to assemble its own
+        g = gen_random_circulation(23, 4, seed=4)
+        other = gen_cycle(5)
+        built = []
+
+        def counting(h, kind):
+            built.append((h, kind))
+            return assemble(h, kind)
+
+        monkeypatch.setattr(verify, "assemble", counting)
+        verify_graph(g)
+        verify_graph(other)
+        verify_graph(g)
+        assert [(h is g, kind) for h, kind in built] == [
+            (True, "normalized_delta"),
+            (True, "delta"),
+            (False, "normalized_delta"),
+            (False, "delta"),
+            (True, "normalized_delta"),
+            (True, "delta"),
+        ]
+        op = verify._assembled(g, "delta")
+        assert not op.matrix.flags.writeable and not op.metric.flags.writeable

@@ -137,26 +137,38 @@ def bitwise_subset_sums(vals):
 
 
 def mask_cut_table(g, idx):
-    """Reference cut table over the subset idx (a sorted int array): external
-    weights by bitwise_subset_sums, then one full pass over all 2^k masks per
-    internal pair, pairs in lexicographic order."""
+    """Reference cut table over the subset idx (a sorted int array), in the
+    package's packet order: each entry is ((0.0 + p_0) + p_1) + ... +
+    p_(k-1), where p_t is ext_t plus t's pair weights to lower neighbours
+    outside the subset when t is in it, and its pair weights to lower
+    neighbours inside it otherwise. Weights are summed in edge order
+    straight off the edge list, and each packet is taken from the masks of
+    all 2^k subsets in one pass per vertex."""
     k = idx.size
-    adj = g.adjacency
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[idx] = np.arange(k)
-    p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
-    leaving = (p_own >= 0) & (p_nbr < 0)
-    ext = np.bincount(p_own[leaving], weights=adj.weight[leaving], minlength=k)
-    cut = bitwise_subset_sums(ext)
-    # each internal pair i < j, seen from i, with the weights of both directions summed
-    inner = (p_own >= 0) & (p_own < p_nbr)
-    pairs, which = np.unique(p_own[inner] * k + p_nbr[inner], return_inverse=True)
-    if pairs.size:
-        pair_weight = np.bincount(which, weights=adj.weight[inner])
-        masks = np.arange(1 << k, dtype=np.uint32)
-        for key, w in zip(pairs.tolist(), pair_weight.tolist()):
-            i, j = divmod(key, k)
-            cut += w * (((masks >> i) ^ (masks >> j)) & 1)
+    pos = {int(v): i for i, v in enumerate(idx.tolist())}
+    ext = [0.0] * k
+    pair = {}
+    for u, v, w in g.edges():
+        a, b = pos.get(u), pos.get(v)
+        if a is not None and b is not None:
+            key = (min(a, b), max(a, b))
+            pair[key] = pair.get(key, 0.0) + w
+        elif a is not None:
+            ext[a] += w
+        elif b is not None:
+            ext[b] += w
+    masks = np.arange(1 << k, dtype=np.uint32)
+    cut = np.zeros(1 << k)
+    for t in range(k):
+        inside = np.zeros(1 << k)
+        outside = np.zeros(1 << k)
+        for (i, j), w in sorted(pair.items()):
+            if j == t:
+                has_i = ((masks >> i) & 1) == 1
+                inside += np.where(has_i, w, 0.0)
+                outside += np.where(has_i, 0.0, w)
+        has_t = ((masks >> t) & 1) == 1
+        cut += np.where(has_t, ext[t] + outside, inside)
     return cut
 
 
