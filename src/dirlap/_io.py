@@ -9,13 +9,19 @@ import tempfile
 from .errors import InputParseError
 
 
+def read_text(path: str) -> str:
+    """A file's text. Raises InputParseError on unreadable or undecodable files."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParseError(f"cannot read {path}: {exc}") from exc
+
+
 def read_json(path: str):
     """Parse a JSON file. Raises InputParseError on unreadable or invalid files."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
 

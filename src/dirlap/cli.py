@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from ._io import dump_json, read_json, write_text_atomic
+from ._io import dump_json, read_json, read_text, write_text_atomic
 from .errors import DirlapError, InputParseError
 from .generators import (
     gen_cycle,
@@ -29,11 +29,11 @@ from .isoperimetric import (
     cheeger_exact,
     cheeger_heuristic,
     infinity_profile,
-    MAX_EXACT_SUBSET,
 )
 from .operators import (
     assemble,
     dirichlet,
+    operator_from_csv_text,
     operator_from_json_obj,
     operator_to_csv_text,
     operator_to_json_obj,
@@ -82,12 +82,16 @@ def _parse_omega(args) -> list[int] | None:
 
 def _resolve_operator(args):
     """Build the operator a spectrum/numrange invocation refers to: an
-    exported operator file as is, or the --op operator of a graph file."""
-    obj = read_json(args.input)
-    if isinstance(obj, dict) and "matrix" in obj:
-        op = operator_from_json_obj(obj)
+    exported operator file as is (CSV unless the name ends in .json, as
+    --dump-operator writes it), or the --op operator of a graph file."""
+    if not args.input.endswith(".json"):
+        op = operator_from_csv_text(read_text(args.input))
     else:
-        op = assemble(graph_from_json_obj(obj), _OP_CHOICES[args.op])
+        obj = read_json(args.input)
+        if isinstance(obj, dict) and "matrix" in obj:
+            op = operator_from_json_obj(obj)
+        else:
+            op = assemble(graph_from_json_obj(obj), _OP_CHOICES[args.op])
     omega = _parse_omega(args)
     if omega is not None:
         op = dirichlet(op, omega)
@@ -178,7 +182,7 @@ def _cmd_verify(args) -> int:
 def _cmd_infinity(args) -> int:
     g = load_graph(args.input)
     filt = build_filtration(g, args.root)
-    profile = infinity_profile(g, filt, args.budget)
+    profile = infinity_profile(g, filt)
     lines = ["level,m_c,M_c,h_c,h_tilde_c,nu_dirichlet,ess_lower_bound"]
     for row in profile.levels:
         lines.append(
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("numrange", "numerical range boundary as CSV (theta,re,im)"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="graph JSON or exported operator JSON")
+        p.add_argument("input", help="graph JSON, or an operator exported as .json or CSV")
         p.add_argument("--op", choices=sorted(_OP_CHOICES), default="delta")
         p.add_argument("--omega", default=None, help="JSON array of vertex ids")
         p.add_argument("--omega-file", default=None)
@@ -270,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infinity", help="filtration complement profile as CSV")
     p.add_argument("input", help="graph JSON file")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--budget", type=int, default=MAX_EXACT_SUBSET)
     p.add_argument("--out", default=None)
     return parser
 

@@ -54,7 +54,7 @@ from .spectral import converging, hermitian_part, nu
 MAX_EXACT_SUBSET = 22
 NORMALIZATIONS = ("measure", "beta_plus")
 
-# slack used when reporting whether a profile sequence is monotone
+# slack used when checking that the m_c sequence never decreases (heavy_end)
 _MONOTONE_SLACK = 1e-12
 
 # exact results kept, per graph and subset. On more than 9 vertices
@@ -320,23 +320,13 @@ def cheeger_heuristic(
     )
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise InvalidArgumentError(f"budget must be >= 0, got {budget}")
-
-
 def cheeger(
-    g: DirectedGraph,
-    omega: Iterable[int],
-    normalization: str = "measure",
-    budget: int = MAX_EXACT_SUBSET,
+    g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
 ) -> CheegerResult:
-    """Exact constant when |omega| <= min(budget, 22), otherwise the
-    heuristic upper bound; the result's mode says which one ran. A negative
-    budget raises InvalidArgumentError."""
-    _check_budget(budget)
+    """Exact constant when |omega| <= 22, otherwise the heuristic upper
+    bound; the result's mode says which one ran."""
     idx = subset_array(g, omega)
-    solve = cheeger_exact if idx.size <= min(budget, MAX_EXACT_SUBSET) else cheeger_heuristic
+    solve = cheeger_exact if idx.size <= MAX_EXACT_SUBSET else cheeger_heuristic
     return solve(g, idx, normalization)
 
 
@@ -397,13 +387,9 @@ def _nondecreasing(seq: list[float]) -> bool:
     return all(b >= a - _MONOTONE_SLACK * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
 
 
-def _nonincreasing(seq: list[float]) -> bool:
-    return all(b <= a + _MONOTONE_SLACK * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
-
-
 @dataclass(frozen=True)
 class InfinityProfile:
-    """Per-level complement profiles along a filtration, plus trend flags.
+    """Per-level complement profiles along a filtration, plus two verdicts.
 
     The m_c and Cheeger sequences are nondecreasing and M_c nonincreasing
     when computed exactly (infima/suprema over shrinking families);
@@ -413,10 +399,6 @@ class InfinityProfile:
     """
 
     levels: tuple[LevelProfile, ...]
-    m_nondecreasing: bool
-    M_nonincreasing: bool
-    h_nondecreasing: bool
-    h_tilde_nondecreasing: bool
     all_exact: bool
     heavy_end: bool
 
@@ -424,19 +406,14 @@ class InfinityProfile:
         return [getattr(row, field) for row in self.levels]
 
 
-def infinity_profile(
-    g: DirectedGraph, filt: Filtration, budget: int = MAX_EXACT_SUBSET
-) -> InfinityProfile:
+def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
     """Profile the complements of a filtration's levels.
 
-    budget caps the complement size that is still enumerated exactly
-    (hard-limited by the exact cap 22); larger complements fall back to the
-    heuristic and are flagged via h_mode / h_tilde_mode and all_exact.
-    Levels whose complement is empty (the final exhausting level) are
-    skipped; at least one usable level must remain. A negative budget
-    raises InvalidArgumentError.
+    Complements of at most 22 vertices are enumerated exactly; larger ones
+    fall back to the heuristic and are flagged via h_mode / h_tilde_mode
+    and all_exact. Levels whose complement is empty (the final exhausting
+    level) are skipped; at least one usable level must remain.
     """
-    _check_budget(budget)
     if len(filt.levels) < 2:
         raise ValueError("filtration needs at least 2 levels")
     delta = assemble(g, "delta")
@@ -447,8 +424,8 @@ def infinity_profile(
         if not comp:
             continue
         m_c, M_c = m_M_constants(g, comp)
-        h = cheeger(g, comp, "measure", budget)
-        ht = cheeger(g, comp, "beta_plus", budget)
+        h = cheeger(g, comp, "measure")
+        ht = cheeger(g, comp, "beta_plus")
         nu_d = nu(dirichlet(delta, comp))
         rows.append(
             LevelProfile(
@@ -470,10 +447,6 @@ def infinity_profile(
     heavy = len(rows) >= 2 and _nondecreasing(m_seq) and m_seq[-1] >= 10.0 * m_seq[0]
     return InfinityProfile(
         levels=tuple(rows),
-        m_nondecreasing=_nondecreasing(m_seq),
-        M_nonincreasing=_nonincreasing([r.M_c for r in rows]),
-        h_nondecreasing=_nondecreasing([r.h_c for r in rows]),
-        h_tilde_nondecreasing=_nondecreasing([r.h_tilde_c for r in rows]),
         all_exact=all(r.h_mode == "exact" and r.h_tilde_mode == "exact" for r in rows),
         heavy_end=heavy,
     )

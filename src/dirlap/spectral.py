@@ -16,18 +16,15 @@ from .errors import InvalidArgumentError, NoConvergenceError
 from .operators import Operator, to_euclidean
 
 _HERMITIAN_RTOL = 1e-12
+# kernel_dimension counts the moduli at most this times the largest one
+_KERNEL_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues sorted by (real part, imaginary part), optional vectors.
-
-    eigenvectors, when present, holds one column per eigenvalue in the same
-    order.
-    """
+    """Eigenvalues sorted by (real part, imaginary part)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +62,8 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= _HERMITIAN_RTOL * (1.0 + scale)
 
 
-def _sort_complex(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((values.imag, values.real))
-    return values[order], order
-
-
-def eig(matrix: np.ndarray, compute_vectors: bool = False) -> Spectrum:
-    """Dense eigendecomposition with a deterministic eigenvalue order.
+def eig(matrix: np.ndarray) -> Spectrum:
+    """Dense eigenvalues in a deterministic order.
 
     Hermitian (in particular real symmetric) inputs are routed to the
     symmetric solver and come back real and ascending; everything else goes
@@ -83,20 +75,11 @@ def eig(matrix: np.ndarray, compute_vectors: bool = False) -> Spectrum:
         raise ValueError("matrix must be square")
     with converging():
         if _is_hermitian(a):
-            if compute_vectors:
-                vals, vecs = np.linalg.eigh(a)
-            else:
-                vals, vecs = np.linalg.eigvalsh(a), None
-            vals = vals.astype(complex)
+            vals = np.linalg.eigvalsh(a).astype(complex)
         else:
-            if compute_vectors:
-                vals, vecs = np.linalg.eig(a)
-            else:
-                vals, vecs = np.linalg.eigvals(a), None
-            vals, order = _sort_complex(vals)
-            if vecs is not None:
-                vecs = vecs[:, order]
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+            vals = np.linalg.eigvals(a)
+            vals = vals[np.lexsort((vals.imag, vals.real))]
+    return Spectrum(eigenvalues=vals)
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -176,8 +159,8 @@ def operator_norm(op: Operator) -> float:
         return float(np.linalg.svd(to_euclidean(op), compute_uv=False)[0])
 
 
-def kernel_dimension(op: Operator, rtol: float = 1e-8) -> int:
-    """Number of eigenvalues with modulus <= rtol * (largest modulus).
+def kernel_dimension(op: Operator) -> int:
+    """Number of eigenvalues with modulus <= 1e-8 * (largest modulus).
 
     The tolerance is relative, so rescaling the operator does not change
     the count. For the normalized Laplacian of a balanced graph this counts
@@ -185,4 +168,4 @@ def kernel_dimension(op: Operator, rtol: float = 1e-8) -> int:
     constants and the zero eigenvalue is simple).
     """
     moduli = np.abs(eig(op.matrix).eigenvalues)
-    return int(np.count_nonzero(moduli <= rtol * moduli.max()))
+    return int(np.count_nonzero(moduli <= _KERNEL_RTOL * moduli.max()))

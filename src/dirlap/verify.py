@@ -58,6 +58,8 @@ _GREEN_SEED = 0x6772E55
 _FUJIWARA_SEED = 0xF731A4A
 _RANGE_SAMPLES_DISC = 360
 _RANGE_SAMPLES_FUJIWARA = 16
+_GREEN_PAIRS = 100
+_FUJIWARA_VECTORS = 100
 
 _EXHAUSTIVE_LIMIT = 9
 _SANDWICH_SIZE_CAP = 8
@@ -145,39 +147,38 @@ def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
     return re + 1j * im
 
 
-def verify_green(g: DirectedGraph, instance: str = "graph", n_pairs: int = 100) -> TheoremReport:
-    """Summation-by-parts identity on random complex vector pairs.
+def verify_green(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
+    """Summation-by-parts identity on 100 random complex vector pairs.
 
     The residual is compared against 1e-9 * scale per pair, scale being the
     magnitude of the three terms involved (at least 1). Raises
     KirchhoffViolatedError on unbalanced graphs.
     """
-    draws = _draw(SplitMix64(_GREEN_SEED), 2 * n_pairs, g.n)
+    draws = _draw(SplitMix64(_GREEN_SEED), 2 * _GREEN_PAIRS, g.n)
     resid, scale = _green_defect(g, draws[0::2], draws[1::2])
     worst = np.max(resid / scale, initial=0.0)
     return _report(
         "greens_formula",
-        f"{instance}|pairs={n_pairs}",
+        f"{instance}|pairs={_GREEN_PAIRS}",
         [(worst, 1e-9)],
         tolerance=0.0,
     )
 
 
-def verify_bounded(
-    g: DirectedGraph, instance: str = "graph", n_angles: int = _RANGE_SAMPLES_DISC
-) -> TheoremReport:
-    """Normalized operator: norm <= 2, numerical range in the unit-radius
-    disc centered at 1, and (connected case) a simple zero eigenvalue."""
+def verify_bounded(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
+    """Normalized operator: norm <= 2, numerical range (360 boundary
+    samples) in the unit-radius disc centered at 1, and (connected case) a
+    simple zero eigenvalue."""
     op = _assembled(g, "normalized_delta")
     norm = operator_norm(op)
-    samples = numerical_range_boundary(op, n_angles)
+    samples = numerical_range_boundary(op, _RANGE_SAMPLES_DISC)
     max_dist = float(np.max(np.abs(samples.points - 1.0)))
     pairs = [(norm, 2.0), (max_dist, 1.0)]
     connected, _ = connectivity(g)
     if connected:
         kdim = kernel_dimension(op)
         pairs.append((float(abs(kdim - 1)), 0.0))
-    return _report("norm_disc_kernel", f"{instance}|angles={n_angles}", pairs)
+    return _report("norm_disc_kernel", f"{instance}|angles={_RANGE_SAMPLES_DISC}", pairs)
 
 
 def verify_kyfan(
@@ -276,19 +277,15 @@ def verify_cheeger_sandwich(
 
 
 def verify_fujiwara(
-    g: DirectedGraph,
-    omega: Iterable[int],
-    instance: str = "graph",
-    n_angles: int = _RANGE_SAMPLES_FUJIWARA,
-    n_vectors: int = 100,
+    g: DirectedGraph, omega: Iterable[int], instance: str = "graph"
 ) -> TheoremReport:
     """Isoperimetric envelope of the Dirichlet numerical range.
 
     Every point of the numerical range of the restricted plain operator has
     2 Re(point) between m (2 - sqrt(4 - ht^2)) and M (2 + sqrt(4 - ht^2)).
-    Checked on the boundary sweep extremes (rho = min Re over samples,
-    sigma = max Re), and as the sharper interior chain
-    m r(f) <= 2 Re (A f, f)_m <= M r(f) on random unit vectors, where
+    Checked on the extremes of a 16-angle boundary sweep (rho = min Re over
+    samples, sigma = max Re), and as the sharper interior chain
+    m r(f) <= 2 Re (A f, f)_m <= M r(f) on 100 random vectors, where
     r(f) = 2 Re (At f, f)_bp / (f, f)_bp compares against the normalized
     restriction At.
     """
@@ -297,28 +294,27 @@ def verify_fujiwara(
     m_c, M_c = m_M_constants(g, idx)
     op_m = dirichlet(_assembled(g, "delta"), idx)
     op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
-    samples = numerical_range_boundary(op_m, n_angles)
+    samples = numerical_range_boundary(op_m, _RANGE_SAMPLES_FUJIWARA)
     rho = float(samples.points.real.min())
     sigma = float(samples.points.real.max())
     s = float(np.sqrt(max(0.0, 4.0 - ht * ht)))
+    f = _draw(SplitMix64(_FUJIWARA_SEED), _FUJIWARA_VECTORS, idx.size)
+    two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
+    r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
+    # the worst vector of each side; argmin takes the first on ties
+    low = int(np.argmin(two_re_lam - m_c * r))
+    high = int(np.argmin(M_c * r - two_re_lam))
     pairs = [
         (m_c * (2.0 - s), 2.0 * rho),
         (2.0 * rho, 2.0 * sigma),
         (2.0 * sigma, M_c * (2.0 + s)),
+        (m_c * r[low], two_re_lam[low]),
+        (two_re_lam[high], M_c * r[high]),
     ]
-
-    if n_vectors:
-        f = _draw(SplitMix64(_FUJIWARA_SEED), n_vectors, idx.size)
-        two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
-        r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
-        # the worst vector of each side; argmin takes the first on ties
-        low = int(np.argmin(two_re_lam - m_c * r))
-        high = int(np.argmin(M_c * r - two_re_lam))
-        pairs.append((m_c * r[low], two_re_lam[low]))
-        pairs.append((two_re_lam[high], M_c * r[high]))
     return _report(
         "fujiwara_envelope",
-        f"{instance}|omega={_omega_tag(idx)}|angles={n_angles}|vectors={n_vectors}",
+        f"{instance}|omega={_omega_tag(idx)}|angles={_RANGE_SAMPLES_FUJIWARA}"
+        f"|vectors={_FUJIWARA_VECTORS}",
         pairs,
     )
 

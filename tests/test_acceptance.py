@@ -85,7 +85,7 @@ def test_criterion_01_green_identity(circulations):
     with verdict(1, "summation-by-parts identity on 50 circulations"):
         start = time.perf_counter()
         for name, g in circulations:
-            report = verify_green(g, name, n_pairs=100)
+            report = verify_green(g, name)
             assert report.passed, (name, report.lhs)
             assert report.lhs[0] <= 1e-9, (name, report.lhs)
         elapsed = time.perf_counter() - start

@@ -5,10 +5,15 @@ with timing wrappers. A function renamed or moved away makes the traced
 benchmark fail with an AttributeError, so the names are checked here.
 """
 
+import collections
 import importlib.util
 import pathlib
+import sys
 
 import pytest
+
+from dirlap import gen_layered_heavy, save_graph
+from dirlap.cli import build_parser, main
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -29,3 +34,38 @@ def test_traced_function_exists(layer, qualname):
     for part in qualname.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+# The benchmark runs CLI commands in-process and parses their outputs; a
+# flag it passes that the parser no longer accepts, or a changed CSV layout,
+# makes a pass exit non-zero before it prints its result.
+
+
+def test_bench_cli_argvs_parse(monkeypatch):
+    """Every argv the benchmark's operations pass to dirlap.cli.main parses."""
+    monkeypatch.syspath_prepend(str(SPANS.parent))  # workloads imports checks
+    spec = importlib.util.spec_from_file_location("bench_workloads", SPANS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    argvs = []
+    monkeypatch.setattr(workloads, "_cli", argvs.append)
+    for name in workloads.NAMES:
+        # the graphs are only read when an operation runs
+        workloads.operations(name, {"graphs": collections.defaultdict(lambda: None)})
+    assert {argv[0] for argv in argvs} == {"spectrum", "numrange", "verify", "infinity"}
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_infinity_csv_layout(tmp_path):
+    save_graph(gen_layered_heavy(3, 3, 2.0), tmp_path / "g.json")
+    out = tmp_path / "profile.csv"
+    assert main(["infinity", str(tmp_path / "g.json"), "--root", "0", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "level,m_c,M_c,h_c,h_tilde_c,nu_dirichlet,ess_lower_bound"
+    assert rows
+    for row in rows:
+        assert len([float(v) for v in row.split(",")]) == 7

@@ -7,7 +7,14 @@ import sys
 import pytest
 
 import dirlap
-from dirlap import TheoremReport, gen_cycle, gen_random_circulation, load_graph, save_graph
+from dirlap import (
+    TheoremReport,
+    gen_cycle,
+    gen_layered_heavy,
+    gen_random_circulation,
+    load_graph,
+    save_graph,
+)
 from dirlap.cli import main
 
 
@@ -145,6 +152,21 @@ class TestSpectrum:
         assert code == 0
         assert from_operator == direct
 
+    def test_operator_csv_round_trip(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        save_graph(gen_random_circulation(6, 3, seed=1), graph)
+        dumped = tmp_path / "op.csv"
+        code, direct, _ = run(
+            capsys,
+            "spectrum", str(graph), "--op", "normalized", "--omega", "[0, 2, 3]",
+            "--dump-operator", str(dumped),
+        )
+        assert code == 0
+        assert dumped.read_text().startswith("kind,dirichlet(normalized_delta)\n")
+        code, from_operator, err = run(capsys, "spectrum", str(dumped))
+        assert (code, err) == (0, "")
+        assert from_operator == direct
+
     def test_omega_file(self, triangle_file, tmp_path, capsys):
         omega_path = tmp_path / "omega.json"
         omega_path.write_text("[0, 1]")
@@ -273,12 +295,19 @@ class TestInfinity:
         assert first[0] == "1"
         assert float(first[1]) == 1.0
 
-    def test_budget_flag(self, tmp_path, capsys):
-        path = tmp_path / "g.json"
-        save_graph(gen_cycle(8), path)
-        code, out, _ = run(capsys, "infinity", str(path), "--budget", "2")
+    def test_heavy_profile_bytes(self, tmp_path, capsys):
+        path = tmp_path / "heavy.json"
+        save_graph(gen_layered_heavy(6, 4, 2.0), path)
+        out = tmp_path / "heavy.csv"
+        code, _, _ = run(capsys, "infinity", str(path), "--root", "0", "--out", str(out))
         assert code == 0
-        assert len(out.strip().splitlines()) >= 2
+        data = out.read_bytes()
+        # recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
+        assert len(data) == 574
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "6bceaac469e2f8daeec2a355528c0daa94a82848df9051a3ce392e301bfcccd3"
+        )
 
     def test_rejects_disconnected(self, tmp_path, capsys):
         path = tmp_path / "two.json"
@@ -306,6 +335,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", "/nonexistent/graph.json")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command, name", [("check", "g.json"), ("spectrum", "op.csv")])
+    def test_undecodable_file(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error:") and out == ""
 
     def test_schema_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -374,13 +411,11 @@ class TestErrorPaths:
             ("gen", "circulation", "--n", "5", "--wmin", "0.3", "--wmax", "0.32", "--out", "{out}"),
             ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
             ("infinity", "{graph}", "--root", "99"),
-            ("infinity", "{graph}", "--budget", "-5"),
             ("check", "{graph}", "--tol", "-1"),
         ],
         ids=[
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
-            "circulation-empty-weight-range", "layered-0", "infinity-root", "budget-negative",
-            "check-tol",
+            "circulation-empty-weight-range", "layered-0", "infinity-root", "check-tol",
         ],
     )
     def test_invalid_argument(self, triangle_file, tmp_path, capsys, argv):

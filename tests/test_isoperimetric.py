@@ -15,7 +15,6 @@ from dirlap import (
     DisconnectedError,
     EmptyComplementError,
     Filtration,
-    InvalidArgumentError,
     SubsetTooLargeError,
     build_filtration,
     build_graph,
@@ -397,24 +396,12 @@ class TestCheegerHeuristic:
 
 class TestCheegerAuto:
     def test_exact_up_to_budget_then_heuristic(self):
+        # the exact-enumeration budget is the fixed cap of 22 vertices
         g = gen_random_circulation(24, 8, seed=4)
-        # the budget never lifts the cap of 22
-        for size, budget, mode in ((4, 4, "exact"), (5, 4, "upper_bound"), (23, 30, "upper_bound")):
-            result = cheeger(g, range(size), "beta_plus", budget)
-            assert result.mode == mode, (size, budget)
+        for size, mode in ((4, "exact"), (22, "exact"), (23, "upper_bound")):
+            assert cheeger(g, range(size), "beta_plus").mode == mode, size
         assert cheeger(g, range(5)) == cheeger_exact(g, range(5))
         assert cheeger(g, range(23)) == cheeger_heuristic(g, range(23))
-
-    def test_negative_budget_is_rejected(self):
-        g = gen_layered_heavy(3, 3, gamma=2.0)
-        filt = build_filtration(g, 0)
-        with pytest.raises(InvalidArgumentError, match="budget"):
-            cheeger(g, range(3), "measure", -1)
-        with pytest.raises(InvalidArgumentError, match="budget"):
-            infinity_profile(g, filt, budget=-5)
-        # a zero budget is valid and sends every subset to the heuristic
-        assert cheeger(g, range(3), "measure", 0).mode == "upper_bound"
-        assert not infinity_profile(g, filt, budget=0).all_exact
 
 
 class TestMMConstants:
@@ -474,9 +461,9 @@ class TestInfinityProfile:
         g = gen_layered_heavy(5, 3, gamma=2.0)
         prof = infinity_profile(g, build_filtration(g, 0))
         assert prof.heavy_end
-        assert prof.m_nondecreasing
         assert prof.all_exact
         m_seq = prof.sequence("m_c")
+        assert m_seq == sorted(m_seq)
         assert m_seq[-1] >= 10.0 * m_seq[0]
 
     def test_flat_weights_are_not_a_heavy_end(self):
@@ -503,17 +490,18 @@ class TestInfinityProfile:
         assert len(prof.levels) == len(filt.levels) - 1
 
     def test_budget_forces_heuristic_mode(self):
-        g = gen_layered_heavy(3, 3, gamma=2.0)
+        # complements above the exact cap of 22 vertices go to the heuristic
+        g = gen_layered_heavy(3, 8, gamma=2.0)
         filt = build_filtration(g, 0)
-        exact_prof = infinity_profile(g, filt)
-        capped = infinity_profile(g, filt, budget=3)
-        assert exact_prof.all_exact
-        assert not capped.all_exact
-        for a, b in zip(capped.levels, exact_prof.levels):
-            if a.h_mode == "upper_bound":
-                assert a.h_c >= b.h_c - 1e-12
-            else:
-                assert a.h_c == b.h_c
+        prof = infinity_profile(g, filt)
+        assert [row.complement_size for row in prof.levels[:2]] == [23, 20]
+        assert not prof.all_exact
+        for row, level in zip(prof.levels, filt.levels):
+            comp = sorted(set(range(g.n)) - set(level))
+            solve = cheeger_exact if len(comp) <= 22 else cheeger_heuristic
+            h, ht = solve(g, comp, "measure"), solve(g, comp, "beta_plus")
+            assert (row.h_c, row.h_mode) == (h.value, h.mode)
+            assert (row.h_tilde_c, row.h_tilde_mode) == (ht.value, ht.mode)
 
     def test_levels_report_metadata(self):
         g = gen_layered_heavy(3, 3, gamma=2.0)
@@ -533,13 +521,6 @@ class TestInfinityProfile:
         filt = Filtration(root=0, levels=((0, 1, 2), (0, 1, 2)))
         with pytest.raises(EmptyComplementError):
             infinity_profile(g, filt)
-
-    def test_monotone_flags_match_sequences(self):
-        g = gen_layered_heavy(4, 3, gamma=3.0)
-        prof = infinity_profile(g, build_filtration(g, 0))
-        h_seq = prof.sequence("h_tilde_c")
-        claims = all(b >= a - 1e-9 for a, b in zip(h_seq, h_seq[1:]))
-        assert prof.h_tilde_nondecreasing == claims
 
     def test_profile_values_are_plain_floats(self):
         g = gen_layered_heavy(3, 3, gamma=2.0)

@@ -83,7 +83,7 @@ class TestGreen:
             assert r.tolerance == 0.0
 
     def test_residual_scale_is_tiny(self):
-        r = verify_green(gen_opposing_cycles(5), n_pairs=25)
+        r = verify_green(gen_opposing_cycles(5))
         assert r.lhs[0] <= 1e-12
         assert r.rhs[0] == 1e-9
 
@@ -92,10 +92,11 @@ class TestGreen:
         with pytest.raises(KirchhoffViolatedError):
             verify_green(g)
 
-    def test_raises_on_unbalanced_without_pairs(self):
+    def test_raises_on_unbalanced_without_pairs(self, monkeypatch):
+        monkeypatch.setattr(verify, "_GREEN_PAIRS", 0)
         g = build_graph([1.0, 1.0], [(0, 1, 2.0), (1, 0, 1.0)])
         with pytest.raises(KirchhoffViolatedError):
-            verify_green(g, n_pairs=0)
+            verify_green(g)
 
     def test_deterministic(self):
         g = gen_random_circulation(8, 3, seed=4)
@@ -107,24 +108,29 @@ def _report_bytes(report):
 
 
 class TestStackedChecksMatchLoops:
-    """The stacked checks give the per-vector loops' reports, byte for byte."""
+    """The stacked checks give the per-vector loops' reports, byte for byte,
+    at the verifier's sample counts and at smaller ones set in their place."""
 
     @pytest.mark.parametrize("n", [3, 7, 8, 30])
-    @pytest.mark.parametrize("count", [0, 1, 100])
-    def test_green(self, n, count):
+    @pytest.mark.parametrize("count", [0, 1, verify._GREEN_PAIRS])
+    def test_green(self, monkeypatch, n, count):
+        monkeypatch.setattr(verify, "_GREEN_PAIRS", count)
         g = pi_circulation(n, seed=n)
-        got = verify_green(g, "pi", n_pairs=count)
+        got = verify_green(g, "pi")
         assert _report_bytes(got) == _report_bytes(loop_verify_green(g, "pi", n_pairs=count))
 
     @pytest.mark.parametrize("n", [3, 7, 8, 30])
-    @pytest.mark.parametrize("count", [0, 1, 100])
-    def test_fujiwara(self, n, count):
+    @pytest.mark.parametrize("count", [1, verify._FUJIWARA_VECTORS])
+    def test_fujiwara(self, monkeypatch, n, count):
+        monkeypatch.setattr(verify, "_FUJIWARA_VECTORS", count)
         g = pi_circulation(n, seed=n)
         omega = range(0, n, 2)
-        got = verify_fujiwara(g, omega, "pi", n_vectors=count)
-        want = loop_verify_fujiwara(g, omega, "pi", n_vectors=count)
+        got = verify_fujiwara(g, omega, "pi")
+        want = loop_verify_fujiwara(
+            g, omega, "pi", n_angles=verify._RANGE_SAMPLES_FUJIWARA, n_vectors=count
+        )
         assert _report_bytes(got) == _report_bytes(want)
-        assert len(got.lhs) == (5 if count else 3)
+        assert len(got.lhs) == 5
 
 
 class TestBlockDraw:
@@ -147,7 +153,7 @@ class TestBlockDraw:
 
 class TestBounded:
     def test_passes_with_kernel_check_when_connected(self):
-        r = verify_bounded(gen_opposing_cycles(4), n_angles=90)
+        r = verify_bounded(gen_opposing_cycles(4))
         assert r.passed
         assert len(r.lhs) == 3
         assert r.rhs == (2.0, 1.0, 0.0)
@@ -158,13 +164,13 @@ class TestBounded:
             [(i, (i + 1) % 3, 1.0) for i in range(3)]
             + [(3 + i, 3 + (i + 1) % 3, 1.0) for i in range(3)],
         )
-        r = verify_bounded(g, n_angles=16)
+        r = verify_bounded(g)
         assert r.passed
         assert len(r.lhs) == 2
 
     def test_norm_bound_is_tight_on_even_cycle(self):
         # the 2-periodic sign vector saturates the norm bound on even cycles
-        r = verify_bounded(gen_cycle(8), n_angles=30)
+        r = verify_bounded(gen_cycle(8))
         assert r.passed
         assert r.lhs[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -262,15 +268,10 @@ class TestFujiwara:
             assert r.passed, (omega, r.margin)
 
     def test_envelope_plus_interior_chain(self):
-        r = verify_fujiwara(gen_cycle(5), [0, 1], n_vectors=40)
+        r = verify_fujiwara(gen_cycle(5), [0, 1])
         assert r.passed
         # 3 envelope pairs plus the two worst interior pairs
         assert len(r.lhs) == 5
-
-    def test_zero_vectors_drops_interior_pairs(self):
-        r = verify_fujiwara(gen_cycle(5), [0, 1], n_vectors=0)
-        assert r.passed
-        assert len(r.lhs) == 3
 
     def test_deterministic(self):
         g = gen_random_circulation(8, 3, seed=9)
