@@ -8,7 +8,6 @@ condition (outflow == inflow at every vertex).
 """
 
 from .errors import (
-    DegenerateInstanceError,
     DirlapError,
     DisconnectedError,
     DuplicateEdgeError,

@@ -14,7 +14,7 @@ import json
 import sys
 
 from ._io import dump_json, read_json, read_text, write_text_atomic
-from .errors import DirlapError, InputParseError
+from .errors import DirlapError, InputParseError, InvalidArgumentError
 from .generators import (
     gen_cycle,
     gen_layered_heavy,
@@ -81,9 +81,11 @@ def _parse_omega(args) -> list[int] | None:
 
 
 def _resolve_operator(args):
-    """Build the operator a spectrum/numrange invocation refers to: an
-    exported operator file as is (CSV unless the name ends in .json, as
-    --dump-operator writes it), or the --op operator of a graph file."""
+    """Build the operator a spectrum/numrange invocation refers to: the --op
+    operator of a graph file (delta when --op is not given), or an exported
+    operator file as is (CSV unless the name ends in .json, as
+    --dump-operator writes it), whose kind an explicit --op must match."""
+    kind = None if args.op is None else _OP_CHOICES[args.op]
     if not args.input.endswith(".json"):
         op = operator_from_csv_text(read_text(args.input))
     else:
@@ -91,7 +93,11 @@ def _resolve_operator(args):
         if isinstance(obj, dict) and "matrix" in obj:
             op = operator_from_json_obj(obj)
         else:
-            op = assemble(graph_from_json_obj(obj), _OP_CHOICES[args.op])
+            op = assemble(graph_from_json_obj(obj), kind or "delta")
+    if kind is not None and op.base_kind() != kind:
+        raise InvalidArgumentError(
+            f"--op {args.op} asks for {kind}, but {args.input} holds a {op.kind} operator"
+        )
     omega = _parse_omega(args)
     if omega is not None:
         op = dirichlet(op, omega)
@@ -250,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="graph JSON, or an operator exported as .json or CSV")
-        p.add_argument("--op", choices=sorted(_OP_CHOICES), default="delta")
+        p.add_argument(
+            "--op", choices=sorted(_OP_CHOICES), default=None,
+            help="operator of a graph file (default delta); on an operator file, its kind",
+        )
         p.add_argument("--omega", default=None, help="JSON array of vertex ids")
         p.add_argument("--omega-file", default=None)
         p.add_argument("--dump-operator", default=None, help="also export the operator (.json or CSV)")

@@ -66,7 +66,3 @@ class EmptyComplementError(DirlapError):
 class NoConvergenceError(DirlapError):
     """The iterative eigenvalue computation exceeded its iteration cap."""
 
-
-class DegenerateInstanceError(DirlapError):
-    """A random generator failed to produce a valid instance within its
-    retry budget."""

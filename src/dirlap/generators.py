@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInstanceError, InvalidArgumentError
-from .graph import DirectedGraph, build_graph
+from .errors import InvalidArgumentError
+from .graph import DirectedGraph, _graph_from_columns, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -43,6 +43,16 @@ class SplitMix64:
         self._x = (self._x + _GAMMA) & _MASK64
         return _mix(self._x)
 
+    def block(self, count: int) -> np.ndarray:
+        """The next count next_u64 draws as one uint64 array, in draw order.
+
+        One vectorized _mix over the counters x + i * gamma; the state then
+        stands where count next_u64 calls would leave it.
+        """
+        counters = np.uint64(self._x) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._x = (self._x + count * _GAMMA) & _MASK64
+        return _mix(counters)
+
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0**-53)
@@ -62,17 +72,6 @@ class SplitMix64:
         re = np.array([2.0 * self.next_float() - 1.0 for _ in range(n)])
         im = np.array([2.0 * self.next_float() - 1.0 for _ in range(n)])
         return re + 1j * im
-
-
-def _dyadic_weight(rng: SplitMix64, lo: float, hi: float) -> float:
-    # eighth-integer grid inside [lo, hi]; sums of these are exact in binary
-    k_lo = int(np.ceil(lo * 8))
-    k_hi = int(np.floor(hi * 8))
-    if k_lo < 1:
-        k_lo = 1
-    if k_hi < k_lo:
-        raise InvalidArgumentError(f"weight range [{lo}, {hi}] contains no k/8 grid point")
-    return (k_lo + rng.next_below(k_hi - k_lo + 1)) / 8.0
 
 
 def gen_cycle(n: int, w: float = 1.0) -> DirectedGraph:
@@ -108,39 +107,56 @@ def gen_random_circulation(
     Each cycle contributes its weight to outflow and inflow of every vertex
     it visits, so the result is Kirchhoff balanced by construction (exactly,
     thanks to the dyadic grid). Parallel contributions to the same ordered
-    pair are merged by summation. The first cycle runs through all n
-    vertices in random order, so no vertex is left isolated and k_cycles=1
-    yields a relabeled weighted cycle.
+    pair are merged by summation, in cycle order. The first cycle runs
+    through all n vertices in random order, so no vertex is left isolated
+    and k_cycles=1 yields a relabeled weighted cycle.
+
+    The seed's splitmix64 stream is read in a fixed layout: the first cycle
+    takes n - 1 Fisher-Yates draws (over 0..n-1, bounds n down to 2) and one
+    weight draw; each later cycle takes one length draw (2 + u % (n - 1)),
+    n - 1 Fisher-Yates draws over a fresh 0..n-1 and one weight draw, and
+    keeps the first `length` shuffled vertices. A weight is k/8 for the
+    k-th point of the eighth-integer grid inside weight_range, at least 1/8.
     """
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
     if k_cycles < 1:
         raise InvalidArgumentError("need k_cycles >= 1")
-    rng = SplitMix64(seed)
-    for _attempt in range(100):
-        accum: dict[tuple[int, int], float] = {}
+    lo, hi = weight_range
+    k_lo = max(1, int(np.ceil(lo * 8)))
+    k_hi = int(np.floor(hi * 8))
+    if k_hi < k_lo:
+        raise InvalidArgumentError(f"weight range [{lo}, {hi}] contains no k/8 grid point")
+    # one row of n + 1 draws per cycle: length, n - 1 swaps, weight; the
+    # first cycle draws no length, so its row starts with a placeholder
+    draws = np.zeros(k_cycles * (n + 1), dtype=np.uint64)
+    draws[1:] = SplitMix64(seed).block(draws.size - 1)
+    draws = draws.reshape(k_cycles, n + 1)
+    lengths = 2 + (draws[:, 0] % np.uint64(n - 1)).astype(np.int64)
+    lengths[0] = n
+    swaps = (draws[:, 1:n] % np.arange(n, 1, -1, dtype=np.uint64)).astype(np.int64)
+    # Python ints: the grid may reach past 2^64
+    weights = [(k_lo + u % (k_hi - k_lo + 1)) / 8.0 for u in draws[:, n].tolist()]
 
-        def add_cycle(order: list[int], w: float) -> None:
-            for a, b in zip(order, order[1:] + order[:1]):
-                accum[(a, b)] = accum.get((a, b), 0.0) + w
+    # Fisher-Yates on every cycle at once: at step i, swap positions i and j
+    order = np.tile(np.arange(n), (k_cycles, 1))
+    rows = np.arange(k_cycles)
+    for i, j in zip(range(n - 1, 0, -1), swaps.T):
+        held = order[:, i].copy()
+        order[:, i] = order[rows, j]
+        order[rows, j] = held
 
-        first = list(range(n))
-        rng.shuffle(first)
-        add_cycle(first, _dyadic_weight(rng, *weight_range))
-        for _ in range(k_cycles - 1):
-            length = 2 + rng.next_below(n - 1)
-            pool = list(range(n))
-            rng.shuffle(pool)
-            add_cycle(pool[:length], _dyadic_weight(rng, *weight_range))
-
-        covered = {u for u, _ in accum} | {v for _, v in accum}
-        if len(covered) < n:
-            continue
-        edges = [(u, v, w) for (u, v), w in sorted(accum.items())]
-        return build_graph([1.0] * n, edges)
-    raise DegenerateInstanceError(
-        f"no valid circulation after 100 attempts (n={n}, k={k_cycles}, seed={seed})"
-    )
+    pos = np.arange(n)
+    on_cycle = pos < lengths[:, None]
+    succ = np.where(pos + 1 < lengths[:, None], pos + 1, 0)
+    tails = order[on_cycle]
+    heads = np.take_along_axis(order, succ, axis=1)[on_cycle]
+    # np.add.at adds in index order, so each pair sums its cycles in order
+    total = np.zeros((n, n))
+    np.add.at(total, (tails, heads), np.repeat(weights, lengths))
+    ef, et = np.nonzero(total)
+    # the columns are ints and floats already, so build_graph's conversion is skipped
+    return _graph_from_columns(np.ones(n), ef.tolist(), et.tolist(), total[ef, et].tolist())
 
 
 def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> DirectedGraph:

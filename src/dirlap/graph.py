@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import dump_json, read_json, write_text_atomic
+from ._io import read_json, write_text_atomic
 from .errors import (
     DuplicateEdgeError,
     EmptySubsetError,
@@ -151,7 +152,22 @@ def build_graph(
         NonPositiveMeasureError, NonPositiveWeightError, SelfLoopError,
         DuplicateEdgeError, IsolatedDirectionError, SchemaViolationError.
     """
-    m = np.asarray(list(measures), dtype=float)
+    triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+    tails, heads, weights = zip(*triples) if triples else ((), (), ())
+    return _graph_from_columns(np.asarray(list(measures), dtype=float), tails, heads, weights)
+
+
+def _graph_from_columns(
+    m: np.ndarray, tails: Sequence[int], heads: Sequence[int], weights: Sequence[float]
+) -> DirectedGraph:
+    """build_graph on float measures and edges given as three columns.
+
+    The checks run in a fixed order, and each reports the first offender:
+    measures in vertex order; then, in input order, the first edge with an
+    endpoint out of range, a self loop or a weight that is not > 0 (in that
+    order for one edge); then duplicates, weight finiteness and the vertex
+    totals in the sorted (from, to) order.
+    """
     n = m.size
     if n == 0:
         raise SchemaViolationError("graph needs at least one vertex")
@@ -164,22 +180,34 @@ def build_graph(
     if bad.size:
         raise SchemaViolationError(f"measure of vertex {int(bad[0])} is not finite")
 
-    triples = [(int(u), int(v), float(w)) for u, v, w in edges]
-    for u, v, w in triples:
-        if not (0 <= u < n and 0 <= v < n):
-            raise SchemaViolationError(f"edge ({u}, {v}) endpoint out of range 0..{n - 1}")
+    # endpoints are Python ints of any size until they are known to be in
+    # range; the edges from the first one out of range on are never converted
+    k = len(tails)
+    if tails and (min(tails) < 0 or min(heads) < 0 or max(tails) >= n or max(heads) >= n):
+        k = next(
+            i for i, (u, v) in enumerate(zip(tails, heads)) if not (0 <= u < n and 0 <= v < n)
+        )
+    ef = np.asarray(tails[:k], dtype=np.int64)
+    et = np.asarray(heads[:k], dtype=np.int64)
+    ew = np.asarray(weights, dtype=float)
+    bad = np.flatnonzero((ef == et) | ~(ew[:k] > 0))
+    if bad.size:
+        i = int(bad[0])
+        u, v = int(ef[i]), int(et[i])
         if u == v:
             raise SelfLoopError(f"self loop at vertex {u}")
-        if not w > 0:
-            raise NonPositiveWeightError(f"edge ({u}, {v}) has weight {w!r}, must be > 0")
-    triples.sort(key=lambda t: (t[0], t[1]))
-    for a, b in zip(triples, triples[1:]):
-        if a[0] == b[0] and a[1] == b[1]:
-            raise DuplicateEdgeError(f"duplicate edge ({a[0]}, {a[1]})")
+        raise NonPositiveWeightError(f"edge ({u}, {v}) has weight {float(ew[i])!r}, must be > 0")
+    if k < len(tails):
+        raise SchemaViolationError(
+            f"edge ({tails[k]}, {heads[k]}) endpoint out of range 0..{n - 1}"
+        )
 
-    ef = np.asarray([t[0] for t in triples], dtype=np.int64)
-    et = np.asarray([t[1] for t in triples], dtype=np.int64)
-    ew = np.asarray([t[2] for t in triples], dtype=float)
+    order = np.lexsort((et, ef))
+    ef, et, ew = ef[order], et[order], ew[order]
+    dup = np.flatnonzero((ef[1:] == ef[:-1]) & (et[1:] == et[:-1]))
+    if dup.size:
+        i = int(dup[0])
+        raise DuplicateEdgeError(f"duplicate edge ({ef[i]}, {et[i]})")
     bad = np.flatnonzero(~np.isfinite(ew))
     if bad.size:
         i = int(bad[0])
@@ -316,13 +344,49 @@ def _json_number(item, key: str, convert):
     return convert(value)
 
 
+# the value types a column may hold without a per-entry check; bool is
+# not among them, since the check is on type(value), not isinstance
+_EXACT_TYPES = {int: {int}, float: {int, float}}
+
+
+def _json_columns(
+    items: list, spec: tuple[tuple[str, type], ...]
+) -> tuple[list[list], int | None]:
+    """The columns [item[key] for item in items], one per (key, convert) of
+    spec, and the index of the first entry that _json_number rejects for
+    some key (None when there is none); the columns then stop before it.
+
+    Whole columns are read and type-checked at once. Only when that fails,
+    from a malformed entry or a value of a subclass of int, are the entries
+    checked one by one.
+    """
+    try:
+        columns = [[item[key] for item in items] for key, _ in spec]
+        if all(set(map(type, col)) <= _EXACT_TYPES[c] for col, (_, c) in zip(columns, spec)):
+            return columns, None
+    except (KeyError, TypeError):
+        pass
+    columns = [[] for _ in spec]
+    for i, item in enumerate(items):
+        try:
+            values = [_json_number(item, key, convert) for key, convert in spec]
+        except (KeyError, TypeError, ValueError):
+            return columns, i
+        for col, value in zip(columns, values):
+            col.append(value)
+    return columns, None
+
+
 def graph_from_json_obj(obj) -> DirectedGraph:
     """Build a graph from the documented JSON shape.
 
     {"vertices": [{"id": 0, "m": 1.0}, ...],
      "edges": [{"from": 0, "to": 1, "b": 2.0}, ...]}
 
-    Vertex ids must be exactly 0..n-1 (any order).
+    Vertex ids must be exactly 0..n-1 (any order). The first offending
+    entry is reported: a malformed vertex entry or an id listed twice,
+    then ids other than 0..n-1, then a malformed edge entry, then
+    build_graph's checks.
     """
     if not isinstance(obj, dict):
         raise SchemaViolationError("graph JSON must be an object")
@@ -334,33 +398,26 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise SchemaViolationError("'vertices' and 'edges' must be arrays")
 
-    measures: dict[int, float] = {}
-    for item in vertices:
-        try:
-            vid = _json_number(item, "id", int)
-            m = _json_number(item, "m", float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"bad vertex entry {item!r}") from exc
-        if vid in measures:
-            raise SchemaViolationError(f"vertex id {vid} listed twice")
-        measures[vid] = m
-    n = len(measures)
-    if sorted(measures) != list(range(n)):
+    (ids, measures), bad = _json_columns(vertices, (("id", int), ("m", float)))
+    if len(set(ids)) < len(ids):
+        seen: set[int] = set()
+        for vid in ids:
+            if vid in seen:
+                raise SchemaViolationError(f"vertex id {vid} listed twice")
+            seen.add(vid)
+    if bad is not None:
+        raise SchemaViolationError(f"bad vertex entry {vertices[bad]!r}")
+    n = len(ids)
+    # n distinct integers are 0..n-1 exactly when they span it
+    if ids and (min(ids) != 0 or max(ids) != n - 1):
         raise SchemaViolationError("vertex ids must be exactly 0..n-1")
+    m = np.empty(n)
+    m[ids] = measures
 
-    triples = []
-    for item in edges:
-        try:
-            triples.append(
-                (
-                    _json_number(item, "from", int),
-                    _json_number(item, "to", int),
-                    _json_number(item, "b", float),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"bad edge entry {item!r}") from exc
-    return build_graph([measures[i] for i in range(n)], triples)
+    (tails, heads, weights), bad = _json_columns(edges, (("from", int), ("to", int), ("b", float)))
+    if bad is not None:
+        raise SchemaViolationError(f"bad edge entry {edges[bad]!r}")
+    return _graph_from_columns(m, tails, heads, weights)
 
 
 def load_graph(path: str) -> DirectedGraph:
@@ -368,6 +425,28 @@ def load_graph(path: str) -> DirectedGraph:
     return graph_from_json_obj(read_json(path))
 
 
+_VERTEX = '    {\n      "id": %d,\n      "m": %r\n    }'
+_EDGE = '    {\n      "b": %r,\n      "from": %d,\n      "to": %d\n    }'
+
+
+def _json_array(template: str, count: int) -> str:
+    # json.dumps writes an empty list as [] whatever the indent
+    return "[\n" + ",\n".join([template] * count) + "\n  ]" if count else "[]"
+
+
 def save_graph(g: DirectedGraph, path: str) -> None:
-    """Write a graph JSON file atomically."""
-    write_text_atomic(path, dump_json(graph_to_json_obj(g)))
+    """Write a graph JSON file atomically.
+
+    The text is dump_json(graph_to_json_obj(g)), byte for byte: sorted
+    keys, 2-space indent, ints as %d and floats as repr, which is what json
+    writes for the finite floats a graph holds. It is formatted in one pass
+    straight from the arrays.
+    """
+    template = (
+        '{\n  "edges": ' + _json_array(_EDGE, g.edge_from.size)
+        + ',\n  "vertices": ' + _json_array(_VERTEX, g.n) + "\n}\n"
+    )
+    edges = zip(g.edge_weight.tolist(), g.edge_from.tolist(), g.edge_to.tolist())
+    vertices = zip(range(g.n), g.measure.tolist())
+    values = (*chain.from_iterable(edges), *chain.from_iterable(vertices))
+    write_text_atomic(path, template % values)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyComplementError
-from .generators import _GAMMA, _MASK64, SplitMix64, _mix, corpus
+from .generators import SplitMix64, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
     Filtration,
@@ -139,10 +139,7 @@ def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
     The same bits as count rng.complex_vector(n) calls, and the same final
     state, from one uint64 block over the count * 2n counter values.
     """
-    steps = count * 2 * n
-    counters = np.uint64(rng._x) + np.arange(1, steps + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    rng._x = (rng._x + steps * _GAMMA) & _MASK64
-    u = 2.0 * ((_mix(counters) >> 11) * 2.0**-53) - 1.0
+    u = 2.0 * ((rng.block(count * 2 * n) >> 11) * 2.0**-53) - 1.0
     re, im = u.reshape(count, 2, n).transpose(1, 0, 2)
     return re + 1j * im
 

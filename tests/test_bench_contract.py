@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from dirlap import gen_layered_heavy, save_graph
+from dirlap import gen_layered_heavy, load_graph, save_graph
 from dirlap.cli import build_parser, main
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -69,3 +69,25 @@ def test_infinity_csv_layout(tmp_path):
     assert rows
     for row in rows:
         assert len([float(v) for v in row.split(",")]) == 7
+
+
+# A set-up that raises ends a pass before it prints its result line, so the
+# graphs the benchmark generates and writes are checked to load back intact.
+
+
+@pytest.mark.parametrize("workload", ["dense_spectra", "cheeger_profile"])
+def test_setup_files_load_back(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("bench_workloads", SPANS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    state = workloads.setup(workload, workloads.instance_seeds(workload, 1))
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(f"{name}.json" for name in state["graphs"])
+    for name, g in state["graphs"].items():
+        back = load_graph(f"{name}.json")
+        assert back.n == g.n
+        for field in ("measure", "edge_from", "edge_to", "edge_weight"):
+            assert getattr(back, field).tobytes() == getattr(g, field).tobytes()

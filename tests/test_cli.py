@@ -83,6 +83,21 @@ class TestGen:
         )
         assert code == 0 and load_graph(out).n == 13
 
+    def test_circulation_300_bytes(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code, _, _ = run(
+            capsys,
+            "gen", "circulation", "--n", "300", "--cycles", "150", "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        data = out.read_bytes()
+        # recorded with the generator and writer that drew and wrote one value at a time
+        assert len(data) == 1213331
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "d4f02359a2b3b30cad6ed119e09980d30e9323c82841c02ad538f7bc86c2eab6"
+        )
+
     def test_opposing_defaults(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         code, _, _ = run(capsys, "gen", "opposing", "--out", str(out))
@@ -166,6 +181,24 @@ class TestSpectrum:
         code, from_operator, err = run(capsys, "spectrum", str(dumped))
         assert (code, err) == (0, "")
         assert from_operator == direct
+
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["spectrum", "numrange"])
+    def test_op_on_operator_file(self, triangle_file, tmp_path, capsys, command, suffix):
+        dumped = tmp_path / f"op.{suffix}"
+        code, direct, _ = run(
+            capsys, command, triangle_file, "--op", "normalized-h", "--omega", "[0, 1]",
+            "--dump-operator", str(dumped),
+        )
+        assert code == 0
+        # the operator's own kind, named or not, gives the same output
+        for flags in ([], ["--op", "normalized-h"]):
+            code, out, err = run(capsys, command, str(dumped), *flags)
+            assert (code, out, err) == (0, direct, "")
+        # any other kind is an input error, never silently ignored
+        code, out, err = run(capsys, command, str(dumped), "--op", "delta")
+        assert (code, out) == (2, "")
+        assert "--op delta asks for delta" in err and "dirichlet(normalized_h)" in err
 
     def test_omega_file(self, triangle_file, tmp_path, capsys):
         omega_path = tmp_path / "omega.json"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from util import loop_random_circulation
 
 from dirlap import (
+    InvalidArgumentError,
     SplitMix64,
     check_kirchhoff,
     connectivity,
@@ -51,6 +53,15 @@ class TestSplitMix64:
         rng.shuffle(items)
         assert sorted(items) == list(range(12))
         assert items != list(range(12))
+
+    @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+    def test_block_equals_scalar_stream(self, seed):
+        for count in (0, 1, 7, 1000):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            drawn = block.block(count)
+            assert drawn.dtype == np.uint64
+            assert drawn.tolist() == [scalar.next_u64() for _ in range(count)]
+            assert block.next_u64() == scalar.next_u64()
 
     def test_complex_vector_bounds(self):
         v = SplitMix64(5).complex_vector(64)
@@ -125,6 +136,26 @@ class TestRandomCirculation:
             gen_random_circulation(2, 1, seed=0)
         with pytest.raises(ValueError):
             gen_random_circulation(5, 0, seed=0)
+
+    def test_empty_weight_grid(self):
+        message = r"^weight range \[0.3, 0.32\] contains no k/8 grid point$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            gen_random_circulation(5, 2, seed=0, weight_range=(0.3, 0.32))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("n", [3, 4, 9, 23, 100, 300])
+    def test_matches_scalar_loop(self, n, seed):
+        for k in sorted({1, 2, n // 2}):
+            got, want = gen_random_circulation(n, k, seed), loop_random_circulation(n, k, seed)
+            for name in ("measure", "edge_from", "edge_to", "edge_weight"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("weight_range", [(0.5, 1.5), (-3.0, 0.2), (0.1, 2.0**70)])
+    def test_matches_scalar_loop_on_other_grids(self, weight_range):
+        got = gen_random_circulation(40, 25, 7, weight_range)
+        want = loop_random_circulation(40, 25, 7, weight_range)
+        for name in ("measure", "edge_from", "edge_to", "edge_weight"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestLayeredHeavy:

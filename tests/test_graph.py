@@ -1,8 +1,10 @@
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from util import loop_graph_from_json_obj, pi_circulation
 
 from dirlap import (
     DirectedGraph,
@@ -20,6 +22,7 @@ from dirlap import (
     build_graph,
     check_kirchhoff,
     connectivity,
+    corpus,
     gen_cycle,
     gen_opposing_cycles,
     gen_random_circulation,
@@ -30,6 +33,7 @@ from dirlap import (
     schrodinger_potential,
     subset_array,
 )
+from dirlap._io import dump_json
 
 
 def triangle():
@@ -316,6 +320,190 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps({"vertices": []}))
         with pytest.raises(SchemaViolationError):
             load_graph(path)
+
+
+# Malformed graph JSON, built from a well-formed object. Each LAST case puts
+# one defect in the last entry of its section; each ORDER case puts two, so
+# that the check that reaches one first decides what is reported.
+V, E = "vertices", "edges"
+
+
+@lru_cache(maxsize=None)
+def _base(name):
+    n = {"n9": 9, "n300": 300}[name]
+    return graph_to_json_obj(gen_random_circulation(n, 3, seed=3))
+
+
+def _put(obj, section, index, entry):
+    items = list(obj[section])
+    items[index] = entry
+    return {**obj, section: items}
+
+
+def _set(obj, section, index, **fields):
+    fields = {k.rstrip("_"): v for k, v in fields.items()}  # from_ is "from"
+    return _put(obj, section, index, {**obj[section][index], **fields})
+
+
+def _drop(obj, section, index, key):
+    entry = dict(obj[section][index])
+    del entry[key]
+    return _put(obj, section, index, entry)
+
+
+def _last_n(o):
+    return len(o[V])
+
+
+def _dup_first(o, index):
+    return _set(o, E, index, from_=o[E][0]["from"], to=o[E][0]["to"])
+
+
+def _reversed(o):
+    return {V: o[V][::-1], E: o[E][::-1]}
+
+
+LAST = [
+    ("vertex-not-object", lambda o: _put(o, V, -1, 5)),
+    ("vertex-array", lambda o: _put(o, V, -1, [_last_n(o) - 1, 1.0])),
+    ("vertex-null", lambda o: _put(o, V, -1, None)),
+    ("vertex-no-id", lambda o: _drop(o, V, -1, "id")),
+    ("vertex-no-m", lambda o: _drop(o, V, -1, "m")),
+    ("vertex-id-bool", lambda o: _set(o, V, -1, id=True)),
+    ("vertex-id-float", lambda o: _set(o, V, -1, id=float(_last_n(o) - 1))),
+    ("vertex-id-string", lambda o: _set(o, V, -1, id=str(_last_n(o) - 1))),
+    ("vertex-m-bool", lambda o: _set(o, V, -1, m=False)),
+    ("vertex-m-string", lambda o: _set(o, V, -1, m="1.0")),
+    ("vertex-m-null", lambda o: _set(o, V, -1, m=None)),
+    ("vertex-id-twice", lambda o: _set(o, V, -1, id=0)),
+    ("vertex-id-n", lambda o: _set(o, V, -1, id=_last_n(o))),
+    ("vertex-id-negative", lambda o: _set(o, V, -1, id=-1)),
+    ("vertex-id-huge", lambda o: _set(o, V, -1, id=10**30)),
+    ("vertex-m-zero", lambda o: _set(o, V, -1, m=0)),
+    ("vertex-m-negative", lambda o: _set(o, V, -1, m=-0.5)),
+    ("vertex-m-inf", lambda o: _set(o, V, -1, m=math.inf)),
+    ("vertex-m-nan", lambda o: _set(o, V, -1, m=math.nan)),
+    ("edge-not-object", lambda o: _put(o, E, -1, "edge")),
+    ("edge-no-from", lambda o: _drop(o, E, -1, "from")),
+    ("edge-no-to", lambda o: _drop(o, E, -1, "to")),
+    ("edge-no-b", lambda o: _drop(o, E, -1, "b")),
+    ("edge-from-bool", lambda o: _set(o, E, -1, from_=False)),
+    ("edge-to-float", lambda o: _set(o, E, -1, to=1.0)),
+    ("edge-b-string", lambda o: _set(o, E, -1, b="2.5")),
+    ("edge-b-bool", lambda o: _set(o, E, -1, b=True)),
+    ("edge-b-null", lambda o: _set(o, E, -1, b=None)),
+    ("edge-to-n", lambda o: _set(o, E, -1, to=_last_n(o))),
+    ("edge-from-negative", lambda o: _set(o, E, -1, from_=-1)),
+    ("edge-to-huge", lambda o: _set(o, E, -1, to=10**30)),
+    ("edge-self-loop", lambda o: _set(o, E, -1, to=o[E][-1]["from"])),
+    ("edge-b-zero", lambda o: _set(o, E, -1, b=0)),
+    ("edge-b-negative-zero", lambda o: _set(o, E, -1, b=-0.0)),
+    ("edge-b-negative", lambda o: _set(o, E, -1, b=-2)),
+    ("edge-b-nan", lambda o: _set(o, E, -1, b=math.nan)),
+    ("edge-b-minus-inf", lambda o: _set(o, E, -1, b=-math.inf)),
+    ("edge-b-inf", lambda o: _set(o, E, -1, b=math.inf)),
+    ("edge-duplicate", lambda o: _dup_first(o, -1)),
+    ("totals-overflow", lambda o: {**o, E: [{**e, "b": 1.5e308} for e in o[E]]}),
+    ("no-vertices", lambda o: {**o, V: []}),
+    ("no-edges", lambda o: {**o, E: []}),
+]
+
+ORDER = [
+    ("bad-vertex-then-twice", lambda o: _set(_set(o, V, 0, m="1"), V, -1, id=1)),
+    ("twice-then-bad-vertex", lambda o: _set(_set(o, V, 1, id=0), V, -1, m="1")),
+    ("twice-then-gap", lambda o: _set(_set(o, V, 1, id=0), V, -1, id=-5)),
+    ("bad-vertex-then-bad-edge", lambda o: _set(_set(o, V, -1, m=None), E, 0, b=None)),
+    ("gap-then-bad-edge", lambda o: _set(_set(o, V, -1, id=_last_n(o)), E, 0, b=None)),
+    ("measure-then-loop", lambda o: _set(_set(o, V, -1, m=0.0), E, 0, to=o[E][0]["from"])),
+    ("inf-measure-then-zero", lambda o: _set(_set(o, V, 0, m=math.inf), V, -1, m=0.0)),
+    ("range-then-bad-edge", lambda o: _set(_set(o, E, 0, to=-3), E, -1, b="x")),
+    ("range-then-loop", lambda o: _set(_set(o, E, 0, to=10**30), E, -1, to=o[E][-1]["from"])),
+    ("loop-then-range", lambda o: _set(_set(o, E, 0, to=o[E][0]["from"]), E, -1, to=10**30)),
+    ("weight-then-range", lambda o: _set(_set(o, E, 0, b=-1.0), E, -1, from_=-10**30)),
+    ("loop-with-zero-weight", lambda o: _set(o, E, -1, to=o[E][-1]["from"], b=0.0)),
+    ("loop-out-of-range", lambda o: _set(o, E, -1, from_=_last_n(o), to=_last_n(o))),
+    ("duplicate-then-weight", lambda o: _set(_dup_first(o, 1), E, -1, b=0)),
+    ("duplicate-then-inf", lambda o: _dup_first(_set(o, E, -1, b=math.inf), 1)),
+    ("two-duplicates-reversed", lambda o: _reversed(
+        _set(_dup_first(o, 1), E, -1, from_=o[E][-2]["from"], to=o[E][-2]["to"]))),
+    ("two-inf-reversed", lambda o: _reversed(_set(_set(o, E, 0, b=math.inf), E, -1, b=math.inf))),
+]
+
+MALFORMED = dict(LAST + ORDER)
+
+VALID = {
+    "reversed": _reversed,
+    "int-numbers": lambda o: _set(_set(o, V, -1, m=3), E, -1, b=2**53 + 1),
+}
+
+
+class TestReaderParity:
+    """graph_from_json_obj against the one-entry-at-a-time reference: the
+    same exception class and message for the same first offending entry,
+    and the same arrays on well-formed input."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[], "graph", {V: []}, {V: {}, E: []}, {V: [], E: None}],
+    )
+    def test_not_a_graph(self, obj):
+        with pytest.raises(SchemaViolationError) as got:
+            graph_from_json_obj(obj)
+        with pytest.raises(SchemaViolationError) as want:
+            loop_graph_from_json_obj(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("base", ["n9", "n300"])
+    @pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed(self, base, build):
+        obj = build(_base(base))
+        with pytest.raises(DirlapError) as want:
+            loop_graph_from_json_obj(obj)
+        with pytest.raises(DirlapError) as got:
+            graph_from_json_obj(obj)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("base", ["n9", "n300"])
+    @pytest.mark.parametrize("build", VALID.values(), ids=VALID.keys())
+    def test_well_formed(self, base, build):
+        obj = build(_base(base))
+        got, want = graph_from_json_obj(obj), loop_graph_from_json_obj(obj)
+        for name in ("measure", "edge_from", "edge_to", "edge_weight"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _writer_graphs():
+    tiny = build_graph(
+        [5e-324, 0.1, 1e300],
+        [(0, 1, 5e-324), (1, 2, 0.1), (2, 0, 1e300), (1, 0, 0.1), (2, 1, 1e300), (0, 2, 2.0)],
+    )
+    return {
+        **dict(corpus()),
+        "pi_circulation": pi_circulation(40, 2),
+        "circulation300": gen_random_circulation(300, 150, seed=1),
+        "extremes": tiny,
+    }
+
+
+class TestWriter:
+    @pytest.mark.parametrize("g", _writer_graphs().values(), ids=_writer_graphs().keys())
+    def test_text_is_canonical_json(self, tmp_path, g):
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert path.read_text() == dump_json(graph_to_json_obj(g))
+        back = load_graph(path)
+        assert back.n == g.n
+        for field in ("measure", "edge_from", "edge_to", "edge_weight"):
+            assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+
+    def test_empty_arrays_as_json_writes_them(self, tmp_path):
+        # no checked graph lacks edges, but the dataclass can be built bare
+        empty = np.zeros(0, dtype=np.int64)
+        for n in (0, 1):
+            g = DirectedGraph(n=n, measure=np.ones(n), edge_from=empty, edge_to=empty,
+                              edge_weight=np.zeros(0))
+            save_graph(g, tmp_path / "g.json")
+            assert (tmp_path / "g.json").read_text() == dump_json(graph_to_json_obj(g))
 
 
 def test_dataclass_is_frozen():

@@ -13,6 +13,14 @@ from itertools import combinations
 import numpy as np
 
 from dirlap import (
+    DirectedGraph,
+    DuplicateEdgeError,
+    InvalidArgumentError,
+    IsolatedDirectionError,
+    NonPositiveMeasureError,
+    NonPositiveWeightError,
+    SchemaViolationError,
+    SelfLoopError,
     SplitMix64,
     assemble,
     build_graph,
@@ -263,4 +271,122 @@ def loop_verify_fujiwara(g, omega, instance="graph", n_angles=16, n_vectors=100)
         "fujiwara_envelope",
         f"{instance}|omega={_omega_tag(idx)}|angles={n_angles}|vectors={n_vectors}",
         pairs,
+    )
+
+
+def loop_random_circulation(n, k_cycles, seed, weight_range=(0.25, 4.0)):
+    """Reference gen_random_circulation: one scalar draw at a time, a list
+    Fisher-Yates per cycle, and parallel edges summed in a dict in cycle
+    order."""
+    if n < 3:
+        raise InvalidArgumentError("need n >= 3")
+    if k_cycles < 1:
+        raise InvalidArgumentError("need k_cycles >= 1")
+    rng = SplitMix64(seed)
+
+    def weight():
+        lo, hi = weight_range
+        k_lo = max(1, int(np.ceil(lo * 8)))
+        k_hi = int(np.floor(hi * 8))
+        if k_hi < k_lo:
+            raise InvalidArgumentError(f"weight range [{lo}, {hi}] contains no k/8 grid point")
+        return (k_lo + rng.next_below(k_hi - k_lo + 1)) / 8.0
+
+    accum = {}
+
+    def add_cycle(order, w):
+        for a, b in zip(order, order[1:] + order[:1]):
+            accum[(a, b)] = accum.get((a, b), 0.0) + w
+
+    first = list(range(n))
+    rng.shuffle(first)
+    add_cycle(first, weight())
+    for _ in range(k_cycles - 1):
+        length = 2 + rng.next_below(n - 1)
+        pool = list(range(n))
+        rng.shuffle(pool)
+        add_cycle(pool[:length], weight())
+    return build_graph([1.0] * n, [(u, v, w) for (u, v), w in sorted(accum.items())])
+
+
+def _loop_json_number(item, key, convert):
+    value = item[key]
+    allowed = int if convert is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"{key!r} is not a JSON number")
+    return convert(value)
+
+
+def loop_graph_from_json_obj(obj):
+    """Reference graph_from_json_obj: every entry parsed and every edge
+    checked one at a time, in input order, raising what the package raises
+    for the first offending entry."""
+    if not isinstance(obj, dict):
+        raise SchemaViolationError("graph JSON must be an object")
+    try:
+        vertices = obj["vertices"]
+        edges = obj["edges"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaViolationError(f"graph JSON missing key: {exc}") from exc
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise SchemaViolationError("'vertices' and 'edges' must be arrays")
+    measures = {}
+    for item in vertices:
+        try:
+            vid = _loop_json_number(item, "id", int)
+            m = _loop_json_number(item, "m", float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolationError(f"bad vertex entry {item!r}") from exc
+        if vid in measures:
+            raise SchemaViolationError(f"vertex id {vid} listed twice")
+        measures[vid] = m
+    n = len(measures)
+    if sorted(measures) != list(range(n)):
+        raise SchemaViolationError("vertex ids must be exactly 0..n-1")
+    triples = []
+    for item in edges:
+        try:
+            triples.append(tuple(_loop_json_number(item, k, c)
+                                 for k, c in (("from", int), ("to", int), ("b", float))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolationError(f"bad edge entry {item!r}") from exc
+
+    m = np.asarray([measures[i] for i in range(n)], dtype=float)
+    if n == 0:
+        raise SchemaViolationError("graph needs at least one vertex")
+    for i, x in enumerate(m):
+        if not x > 0:
+            raise NonPositiveMeasureError(f"measure of vertex {i} is {x!r}, must be > 0")
+    for i, x in enumerate(m):
+        if not math.isfinite(x):
+            raise SchemaViolationError(f"measure of vertex {i} is not finite")
+    for u, v, w in triples:
+        if not (0 <= u < n and 0 <= v < n):
+            raise SchemaViolationError(f"edge ({u}, {v}) endpoint out of range 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self loop at vertex {u}")
+        if not w > 0:
+            raise NonPositiveWeightError(f"edge ({u}, {v}) has weight {w!r}, must be > 0")
+    triples.sort(key=lambda t: (t[0], t[1]))
+    for a, b in zip(triples, triples[1:]):
+        if a[:2] == b[:2]:
+            raise DuplicateEdgeError(f"duplicate edge ({a[0]}, {a[1]})")
+    for u, v, w in triples:
+        if not math.isfinite(w):
+            raise SchemaViolationError(f"edge ({u}, {v}) has a weight that is not finite")
+    totals = {"outgoing": [0.0] * n, "incoming": [0.0] * n}
+    for u, v, w in triples:
+        totals["outgoing"][u] += w
+        totals["incoming"][v] += w
+    for direction, sums in totals.items():
+        for x, total in enumerate(sums):
+            if total <= 0:
+                raise IsolatedDirectionError(f"vertex {x} has no {direction} weight")
+        for x, total in enumerate(sums):
+            if not math.isfinite(total):
+                raise SchemaViolationError(f"total {direction} weight of vertex {x} is not finite")
+    ef, et, ew = zip(*triples)
+    return DirectedGraph(
+        n=n, measure=m, edge_from=np.asarray(ef, dtype=np.int64),
+        edge_to=np.asarray(et, dtype=np.int64), edge_weight=np.asarray(ew, dtype=float),
     )
