@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveWeightError,
     SchemaViolationError,
     SelfLoopError,
-    SubsetTooLargeError,
 )
 from .generators import (
     SplitMix64,
@@ -48,14 +47,12 @@ from .graph import (
     subset_array,
 )
 from .isoperimetric import (
-    MAX_EXACT_SUBSET,
     NORMALIZATIONS,
     CheegerResult,
     Filtration,
     InfinityProfile,
     LevelProfile,
     build_filtration,
-    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     infinity_profile,

@@ -25,7 +25,6 @@ from .generators import (
 from .graph import check_kirchhoff, graph_from_json_obj, load_graph, save_graph
 from .isoperimetric import (
     build_filtration,
-    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     infinity_profile,
@@ -165,7 +164,7 @@ def _cmd_cheeger(args) -> int:
     omega = _parse_omega(args)
     if omega is None:
         omega = list(range(g.n))
-    solve = {"auto": cheeger, "exact": cheeger_exact, "heuristic": cheeger_heuristic}[args.mode]
+    solve = {"exact": cheeger_exact, "heuristic": cheeger_heuristic}[args.mode]
     result = solve(g, omega, args.normalization)
     _emit(dump_json(result.to_json_obj()), args.out)
     return 0
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default=None, help="JSON array of vertex ids (default: all)")
     p.add_argument("--omega-file", default=None)
     p.add_argument("--normalization", choices=["measure", "beta_plus"], default="measure")
-    p.add_argument("--mode", choices=["auto", "exact", "heuristic"], default="auto")
+    p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the inequality suite, exit 1 on failure")

@@ -46,10 +46,6 @@ class EmptySubsetError(DirlapError):
     """A vertex subset argument is empty."""
 
 
-class SubsetTooLargeError(DirlapError):
-    """A subset exceeds the exact-enumeration cap."""
-
-
 class KirchhoffViolatedError(DirlapError):
     """An operation requiring outflow == inflow at every vertex was applied
     to a graph that does not satisfy it."""

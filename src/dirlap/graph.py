@@ -174,7 +174,7 @@ def _graph_from_columns(
     bad = np.flatnonzero(~(m > 0))
     if bad.size:
         raise NonPositiveMeasureError(
-            f"measure of vertex {int(bad[0])} is {m[bad[0]]!r}, must be > 0"
+            f"measure of vertex {int(bad[0])} is {float(m[bad[0]])!r}, must be > 0"
         )
     bad = np.flatnonzero(~np.isfinite(m))
     if bad.size:
@@ -377,6 +377,23 @@ def _json_columns(
     return columns, None
 
 
+def _json_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest float
+        return np.inf if value > 0 else -np.inf
+
+
+def _json_floats(values: list) -> np.ndarray:
+    """JSON numbers as a float array. An integer too large for a float is
+    taken as an infinity of its sign, which build_graph's finiteness checks
+    then reject in their documented order."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.asarray([_json_float(v) for v in values])
+
+
 def graph_from_json_obj(obj) -> DirectedGraph:
     """Build a graph from the documented JSON shape.
 
@@ -412,12 +429,12 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     if ids and (min(ids) != 0 or max(ids) != n - 1):
         raise SchemaViolationError("vertex ids must be exactly 0..n-1")
     m = np.empty(n)
-    m[ids] = measures
+    m[ids] = _json_floats(measures)
 
     (tails, heads, weights), bad = _json_columns(edges, (("from", int), ("to", int), ("b", float)))
     if bad is not None:
         raise SchemaViolationError(f"bad edge entry {edges[bad]!r}")
-    return _graph_from_columns(m, tails, heads, weights)
+    return _graph_from_columns(m, tails, heads, _json_floats(weights))
 
 
 def load_graph(path: str) -> DirectedGraph:

@@ -10,21 +10,20 @@ outflow beta_plus(U) ("beta_plus" normalization). On a balanced graph the
 two crossing directions carry equal total weight, so the numerator is twice
 the one-directional cut.
 
-cheeger_exact enumerates every subset of Omega (cap: |Omega| <= 22) with
-tables indexed by bitmask: the cut of every subset, and its measure or
-outflow. A cut entry adds one packet per vertex of Omega in ascending
-order: the vertex's pair weights to lower neighbours inside the subset, or,
-for a member, its external weight plus its pair weights to lower neighbours
-outside (see _cut_table). The cut table is built by doubling in
-O(2^k + sum over vertices of 2^(lower neighbours)) element updates, and
-values and witnesses follow from that order bit for bit. A table takes
-8 * 2^k bytes, 32 MB at k = 22. One call builds the cut table once,
-evaluates both normalizations from it and frees it; the two results are
-cached per graph and subset, so a later call for either normalization of
-the same subset enumerates nothing. No table is kept after the call.
+cheeger_exact finds the constant exactly, at every size of Omega, by
+Dinkelbach's iteration over minimum cuts (MQI, Lang & Rao 2004). At a ratio
+p / q, the sink side of a minimum s-t cut minimizes q cut(U) - p denom(U)
+over U, in the network with arcs s -> u of capacity q times u's weight to
+and from outside Omega, q (b(u, v) + b(v, u)) both ways between internal
+u and v, and u -> t of capacity p denom(u). From U = Omega, each step moves
+to that sink side, whose ratio is smaller, until none is. The floats are
+dyadic, so one power of two scales them to integers and the flow (Dinic's
+algorithm) is exact; the value is the witness's integer cut over its integer
+denominator, divided once, so it is correctly rounded. The witness is the
+largest minimizer, the union of all of them: the vertices that s does not
+reach in the final residual network.
 cheeger_heuristic runs a spectral sweep cut plus greedy single-vertex
-exchange and returns an upper bound; cheeger picks the first when Omega is
-small enough and the second otherwise.
+exchange and returns an upper bound.
 
 A filtration is a nested exhausting family of connected subsets; profiling
 the complements (min/max vertex ratios, Cheeger constants, Dirichlet
@@ -35,7 +34,6 @@ heavy ends, where the complements' weight-to-measure ratio blows up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -43,35 +41,25 @@ import numpy as np
 from .errors import (
     DisconnectedError,
     EmptyComplementError,
-    EmptySubsetError,
     InvalidArgumentError,
-    SubsetTooLargeError,
 )
 from .graph import DirectedGraph, hop_distances, subset_array
 from .operators import assemble, dirichlet, to_euclidean
 from .spectral import converging, hermitian_part, nu
 
-MAX_EXACT_SUBSET = 22
 NORMALIZATIONS = ("measure", "beta_plus")
 
 # slack used when checking that the m_c sequence never decreases (heavy_end)
 _MONOTONE_SLACK = 1e-12
-
-# exact results kept, per graph and subset. On more than 9 vertices
-# verify_graph asks for at most 11 distinct subsets (3 single vertices, 4
-# filtration levels, 4 complements) before its essential-spectrum profile
-# asks for the first complement again; smaller graphs are swept exhaustively
-# over subsets of at most 9 vertices, which cost little to enumerate again.
-_RESULTS_CACHE_SIZE = 11
 
 
 @dataclass(frozen=True)
 class CheegerResult:
     """Constant value, the subset achieving it, and how it was obtained.
 
-    mode is "exact" (full enumeration; witness is the lexicographically
-    smallest minimizer) or "upper_bound" (heuristic; value >= the true
-    constant, witness is the best subset found).
+    mode is "exact" (witness is the largest minimizer, the union of all
+    of them) or "upper_bound" (heuristic; value >= the true constant,
+    witness is the best subset found).
     """
 
     value: float
@@ -96,143 +84,152 @@ def _denominator_values(g: DirectedGraph, normalization: str) -> np.ndarray:
     return g.measure if normalization == "measure" else g.beta_plus
 
 
-def _subset_sums(vals: np.ndarray) -> np.ndarray:
-    """table[S] = sum of vals[i] over bits i set in S, for all 2^k masks.
+def _dyadic_integers(x: np.ndarray) -> np.ndarray:
+    """The positive finite floats x as the exact Python ints x * 2^J, with
+    one J for all of them: the smallest that makes every entry an integer.
 
-    Built by doubling, table[S + 2^i] = table[S] + vals[i] for S < 2^i, so
-    every entry adds its bits in increasing order starting from 0.0.
+    Every float is odd * 2^e for an odd integer below 2^53.
     """
-    k = vals.size
-    table = np.zeros(1 << k)
-    for i in range(k):
-        step = 1 << i
-        np.add(table[:step], vals[i], out=table[step : 2 * step])
-    return table
+    frac, exp = np.frexp(x)
+    mantissa = (frac * 2.0**53).astype(np.int64)
+    zeros = np.frexp((mantissa & -mantissa).astype(float))[1] - 1
+    shift = exp + zeros
+    return (mantissa >> zeros).astype(object) << (shift - shift.min()).astype(object)
 
 
-def _cut_table(g: DirectedGraph, ids: tuple[int, ...]) -> np.ndarray:
-    """table[S] = total weight of directed edges leaving or entering the
-    subset of ids encoded by bitmask S (boundary taken in the full graph).
+def _group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Exact integer sums of values per group id in 0..size-1."""
+    out = np.zeros(size, dtype=object)
+    np.add.at(out, groups, values)
+    return out
 
-    Every entry adds one packet per vertex t in ascending order,
-    ((0.0 + p_0) + p_1) + ... + p_(k-1). With I_t[S] and O_t[S] the sums of
-    the weights of t's pairs with its lower neighbours inside and outside S,
-    each starting from 0.0 and adding in ascending neighbour order, p_t is
-    ext_t + O_t[S] when t is in S and I_t[S] otherwise; ext_t is t's weight
-    to and from vertices outside ids, and a pair's weight sums both
-    directions in edge order.
 
-    Built by doubling: once cut[:2^t] holds the subsets of the vertices
-    below t, cut[2^t : 2^(t+1)] = lower half + (ext_t + O_t), then
-    lower half += I_t. I_t is one subset-sum table over t's d_t lower
-    neighbours, broadcast with one axis per neighbour bit, and O_t is that
-    table reversed, so the build costs O(2^k + sum of 2^(d_t)). A table
-    takes 8 * 2^k bytes (32 MB at k = 22).
-    """
-    idx = np.asarray(ids, dtype=np.int64)
+def _max_flow(start: list, to: list, rev: list, cap: list, s: int, t: int) -> list[int]:
+    """Push a maximum s-t flow (Dinic), leaving the residual capacities in
+    cap, and return the last breadth-first levels: -1 exactly at the nodes
+    that s does not reach in the residual network. The arcs of node x are
+    start[x]..start[x + 1] - 1, arc a runs to to[a], and rev[a] is its
+    reverse arc."""
+    n = len(start) - 1
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for x in queue:
+            for a in range(start[x], start[x + 1]):
+                if cap[a] and level[to[a]] < 0:
+                    level[to[a]] = level[x] + 1
+                    queue.append(to[a])
+        if level[t] < 0:
+            return level
+        # blocking flow by depth-first search over the level graph; path
+        # holds the arcs from s to x, and arc[y] is y's first untried arc
+        arc = start[:-1]
+        path: list[int] = []
+        x = s
+        while True:
+            if x == t:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[rev[a]] += push
+                first = next(i for i, a in enumerate(path) if not cap[a])
+                x = to[rev[path[first]]]
+                del path[first:]
+                continue
+            a, stop, down = arc[x], start[x + 1], level[x] + 1
+            while a < stop and not (cap[a] and level[to[a]] == down):
+                a += 1
+            arc[x] = a
+            if a < stop:
+                path.append(a)
+                x = to[a]
+            elif x == s:
+                break
+            else:  # x is a dead end: retreat and skip the arc into it
+                a = path.pop()
+                x = to[rev[a]]
+                arc[x] += 1
+
+
+def _exact(
+    g: DirectedGraph, idx: np.ndarray, normalizations: Iterable[str] = NORMALIZATIONS
+) -> tuple[CheegerResult, ...]:
+    """cheeger_exact on a sorted array of distinct valid vertex ids, once
+    per normalization, over one network."""
     k = idx.size
     adj = g.adjacency
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)
     p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
-    leaving = (p_own >= 0) & (p_nbr < 0)
-    ext = np.bincount(p_own[leaving], weights=adj.weight[leaving], minlength=k)
-    # each internal pair i < j, seen from i, with the weights of both
-    # directions summed; sorted by j, then by i
-    inner = (p_own >= 0) & (p_own < p_nbr)
-    pairs, which = np.unique(p_nbr[inner] * k + p_own[inner], return_inverse=True)
-    pair_weight = np.bincount(which, weights=adj.weight[inner])
-    # the pairs of vertex t are the keys in [t * k, (t + 1) * k)
-    bounds = np.searchsorted(pairs, k * np.arange(k + 1)).tolist()
-    lower = (pairs % k).tolist()
-    cut = np.zeros(1 << k)
-    for t in range(k):
-        half = cut[: 1 << t]
-        start, stop = bounds[t], bounds[t + 1]
-        if start == stop:
-            np.add(half, ext[t], out=cut[1 << t : 2 << t])
-            continue
-        # axes of the lower half from its top bit down: one of size 2 per
-        # lower neighbour, one for each run of bits between neighbours
-        shape, packet_shape, top = [], [], t
-        for j in reversed(lower[start:stop]):
-            if top - j > 1:
-                shape.append(1 << (top - j - 1))
-                packet_shape.append(1)
-            shape.append(2)
-            packet_shape.append(2)
-            top = j
-        if top:
-            shape.append(1 << top)
-            packet_shape.append(1)
-        inside = _subset_sums(pair_weight[start:stop])
-        half = half.reshape(shape)
-        # ext_t + O_t is a temporary, so at most two tables of 2^d_t entries
-        # live beside the cut table
-        np.add(
-            half,
-            (ext[t] + inside[::-1]).reshape(packet_shape),
-            out=cut[1 << t : 2 << t].reshape(shape),
-        )
-        half += inside.reshape(packet_shape)
-    return cut
-
-
-def _mask_to_ids(mask: int, idx: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(idx[i]) for i in range(idx.size) if (mask >> i) & 1)
-
-
-def _min_ratio(
-    g: DirectedGraph, idx: np.ndarray, cut: np.ndarray, normalization: str
-) -> CheegerResult:
-    """Smallest cut-to-denominator ratio over the non-empty masks of cut,
-    with the lexicographically smallest witness among the ties."""
-    denom = _subset_sums(_denominator_values(g, normalization)[idx])
-    denom[0] = 1.0  # avoid 0/0; the empty subset is excluded below
-    ratios = np.divide(cut, denom, out=denom)
-    ratios[0] = np.inf
-    best = ratios.min()
-    tied = np.flatnonzero(ratios == best)
-    witness = min(_mask_to_ids(int(mask), idx) for mask in tied)
-    return CheegerResult(
-        value=float(best), witness=witness, mode="exact", normalization=normalization
+    leaving = np.flatnonzero((p_own >= 0) & (p_nbr < 0))
+    # each internal pair u < v, seen from u, once per edge direction
+    inner = np.flatnonzero((p_own >= 0) & (p_own < p_nbr))
+    keys = p_own[inner] * k + p_nbr[inner]
+    pairs = np.flatnonzero(np.bincount(keys, minlength=k * k))
+    which = np.searchsorted(pairs, keys)
+    ints = _dyadic_integers(
+        np.concatenate([g.measure[idx], g.beta_plus[idx], adj.weight[leaving], adj.weight[inner]])
     )
+    denoms = {"measure": ints[:k], "beta_plus": ints[k : 2 * k]}
+    ext = _group_sums(p_own[leaving], ints[2 * k : 2 * k + leaving.size], k)
+    pair_weight = _group_sums(which, ints[2 * k + leaving.size :], pairs.size)
+    u, v = pairs // k, pairs % k
 
+    # nodes 0..k-1 are omega, then s and t. The m arcs u -> t, u -> v (one
+    # per internal pair) and s -> u come first and their reverses next, so
+    # arc i + m is the reverse of arc i. At ratio p / q, arc a has capacity
+    # q * on_q[a], except that u -> t, now arc t_arcs[u], has p * denom(u).
+    # The network is stored by tail node (CSR).
+    s, t = k, k + 1
+    exits = np.flatnonzero(ext)
+    m = k + pairs.size + exits.size
+    tails = np.concatenate([np.arange(k), u, np.full(exits.size, s), np.full(k, t), v, exits])
+    zeros = np.zeros(k, dtype=object)
+    on_q = np.concatenate([zeros, pair_weight, ext[exits], zeros, pair_weight, zeros[: exits.size]])
+    order = np.argsort(tails, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(2 * m)
+    start = np.searchsorted(tails[order], np.arange(k + 3)).tolist()
+    to = np.concatenate([tails[m:], tails[:m]])[order].tolist()
+    rev = where[(order + m) % (2 * m)].tolist()
+    on_q = on_q[order].tolist()
+    t_arcs = where[:k].tolist()
 
-@lru_cache(maxsize=_RESULTS_CACHE_SIZE)
-def _exact_results(g: DirectedGraph, ids: tuple[int, ...]) -> tuple[CheegerResult, ...]:
-    """Exact results for every normalization, in NORMALIZATIONS order, from
-    one cut table over the sorted ids.
+    def solve(normalization: str) -> CheegerResult:
+        denom = denoms[normalization]
+        to_t = list(zip(t_arcs, denom.tolist()))
 
-    The table is freed on return, and each normalization's denominator
-    table is freed before the next one is built, so a call holds at most
-    two 2^k tables. The graph is hashed by identity and held by the cache,
-    so its id cannot be reused while the entry lives.
-    """
-    idx = np.asarray(ids, dtype=np.int64)
-    cut = _cut_table(g, ids)
-    return tuple(_min_ratio(g, idx, cut, normalization) for normalization in NORMALIZATIONS)
+        def cut_and_denom(inside: np.ndarray) -> tuple[int, int]:
+            cut = ext[inside].sum() + pair_weight[inside[u] != inside[v]].sum()
+            return int(cut), int(denom[inside].sum())
+
+        # Dinkelbach's iteration from omega: the largest minimizer at the
+        # current ratio, the vertices s does not reach, has a smaller
+        # ratio, until the ratio is the minimum
+        p, q = cut_and_denom(np.ones(k, dtype=bool))
+        while True:
+            cap = [q * b for b in on_q]
+            for a, w in to_t:
+                cap[a] = p * w
+            inside = np.asarray(_max_flow(start, to, rev, cap, s, t)[:k]) < 0
+            cut, d = cut_and_denom(inside)
+            if cut * q == p * d:
+                break
+            p, q = cut, d
+        return CheegerResult(cut / d, tuple(idx[inside].tolist()), "exact", normalization)
+
+    return tuple(solve(normalization) for normalization in normalizations)
 
 
 def cheeger_exact(
     g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
 ) -> CheegerResult:
-    """Exact constant by enumeration of all non-empty subsets of omega.
-
-    Raises SubsetTooLargeError when |omega| > 22. Ties on the optimal value
-    are broken toward the lexicographically smallest witness (subsets
-    compared as sorted id lists). Both normalizations are computed and
-    cached together, so the other one of the same graph and subset is
-    returned without enumerating again.
-    """
+    """Exact constant over the non-empty subsets of omega, at any size, by
+    integer minimum cuts (see the module docstring): the exact minimum
+    ratio, correctly rounded, and the union of the subsets attaining it."""
     _denominator_values(g, normalization)  # raises on an unknown normalization
-    idx = subset_array(g, omega)
-    k = idx.size
-    if k > MAX_EXACT_SUBSET:
-        raise SubsetTooLargeError(
-            f"|omega| = {k} exceeds the exact enumeration cap {MAX_EXACT_SUBSET}"
-        )
-    return _exact_results(g, tuple(idx.tolist()))[NORMALIZATIONS.index(normalization)]
+    return _exact(g, subset_array(g, omega), (normalization,))[0]
 
 
 def _toggle_deltas(g: DirectedGraph, crossed: np.ndarray) -> np.ndarray:
@@ -320,16 +317,6 @@ def cheeger_heuristic(
     )
 
 
-def cheeger(
-    g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
-) -> CheegerResult:
-    """Exact constant when |omega| <= 22, otherwise the heuristic upper
-    bound; the result's mode says which one ran."""
-    idx = subset_array(g, omega)
-    solve = cheeger_exact if idx.size <= MAX_EXACT_SUBSET else cheeger_heuristic
-    return solve(g, idx, normalization)
-
-
 def m_M_constants(g: DirectedGraph, omega: Iterable[int]) -> tuple[float, float]:
     """(min, max) of beta_plus(x) / m(x) over the subset.
 
@@ -379,8 +366,6 @@ class LevelProfile:
     h_tilde_c: float
     nu_dirichlet: float
     ess_lower_bound: float
-    h_mode: str
-    h_tilde_mode: str
 
 
 def _nondecreasing(seq: list[float]) -> bool:
@@ -389,17 +374,15 @@ def _nondecreasing(seq: list[float]) -> bool:
 
 @dataclass(frozen=True)
 class InfinityProfile:
-    """Per-level complement profiles along a filtration, plus two verdicts.
+    """Per-level complement profiles along a filtration, plus a verdict.
 
     The m_c and Cheeger sequences are nondecreasing and M_c nonincreasing
-    when computed exactly (infima/suprema over shrinking families);
-    heuristic levels can break that, which is why all_exact is reported.
-    heavy_end is the verdict "the complements' min weight-to-measure ratio
-    grew at least tenfold and never decreased".
+    (infima and suprema over shrinking families). heavy_end is the verdict
+    "the complements' min weight-to-measure ratio grew at least tenfold and
+    never decreased".
     """
 
     levels: tuple[LevelProfile, ...]
-    all_exact: bool
     heavy_end: bool
 
     def sequence(self, field: str) -> list[float]:
@@ -409,10 +392,10 @@ class InfinityProfile:
 def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
     """Profile the complements of a filtration's levels.
 
-    Complements of at most 22 vertices are enumerated exactly; larger ones
-    fall back to the heuristic and are flagged via h_mode / h_tilde_mode
-    and all_exact. Levels whose complement is empty (the final exhausting
-    level) are skipped; at least one usable level must remain.
+    The Cheeger constants of every complement are exact, whatever its
+    size, so ess_lower_bound = m_c * h_tilde_c^2 / 8 is a proven lower
+    bound. Levels whose complement is empty (the final exhausting level)
+    are skipped; at least one usable level must remain.
     """
     if len(filt.levels) < 2:
         raise ValueError("filtration needs at least 2 levels")
@@ -420,33 +403,26 @@ def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
     all_ids = frozenset(range(g.n))
     rows: list[LevelProfile] = []
     for li, level in enumerate(filt.levels, start=1):
-        comp = sorted(all_ids.difference(level))
-        if not comp:
+        comp = np.asarray(sorted(all_ids.difference(level)), dtype=np.int64)
+        if not comp.size:
             continue
         m_c, M_c = m_M_constants(g, comp)
-        h = cheeger(g, comp, "measure")
-        ht = cheeger(g, comp, "beta_plus")
+        h, ht = _exact(g, comp)
         nu_d = nu(dirichlet(delta, comp))
         rows.append(
             LevelProfile(
                 level=li,
-                complement_size=len(comp),
+                complement_size=comp.size,
                 m_c=m_c,
                 M_c=M_c,
                 h_c=h.value,
                 h_tilde_c=ht.value,
                 nu_dirichlet=nu_d,
                 ess_lower_bound=m_c * ht.value**2 / 8.0,
-                h_mode=h.mode,
-                h_tilde_mode=ht.mode,
             )
         )
     if not rows:
         raise EmptyComplementError("every filtration level has an empty complement")
     m_seq = [r.m_c for r in rows]
     heavy = len(rows) >= 2 and _nondecreasing(m_seq) and m_seq[-1] >= 10.0 * m_seq[0]
-    return InfinityProfile(
-        levels=tuple(rows),
-        all_exact=all(r.h_mode == "exact" and r.h_tilde_mode == "exact" for r in rows),
-        heavy_end=heavy,
-    )
+    return InfinityProfile(levels=tuple(rows), heavy_end=heavy)

@@ -21,7 +21,7 @@ from .generators import SplitMix64, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
     Filtration,
-    MAX_EXACT_SUBSET,
+    _exact,
     build_filtration,
     cheeger_exact,
     infinity_profile,
@@ -256,8 +256,14 @@ def verify_cheeger_sandwich(
         m ht^2 / 8  <= nu_m
     """
     idx = subset_array(g, omega)
-    h = cheeger_exact(g, idx, "measure").value
-    ht = cheeger_exact(g, idx, "beta_plus").value
+    h, ht = (res.value for res in _exact(g, idx))
+    return _sandwich(g, idx, h, ht, instance)
+
+
+def _sandwich(
+    g: DirectedGraph, idx: np.ndarray, h: float, ht: float, instance: str
+) -> TheoremReport:
+    """verify_cheeger_sandwich on a valid subset array with its constants."""
     nu_m = nu(dirichlet(_assembled(g, "delta"), idx))
     nu_t = nu(dirichlet(_assembled(g, "normalized_delta"), idx))
     m_c, M_c = m_M_constants(g, idx)
@@ -287,7 +293,11 @@ def verify_fujiwara(
     restriction At.
     """
     idx = subset_array(g, omega)
-    ht = cheeger_exact(g, idx, "beta_plus").value
+    return _fujiwara(g, idx, cheeger_exact(g, idx, "beta_plus").value, instance)
+
+
+def _fujiwara(g: DirectedGraph, idx: np.ndarray, ht: float, instance: str) -> TheoremReport:
+    """verify_fujiwara on a valid subset array with its outflow constant."""
     m_c, M_c = m_M_constants(g, idx)
     op_m = dirichlet(_assembled(g, "delta"), idx)
     op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
@@ -350,16 +360,13 @@ def _proper_subsets(n: int, max_size: int) -> Iterable[tuple[int, ...]]:
 
 
 def _selected_subsets(g: DirectedGraph, filt: Filtration | None) -> list[tuple[int, ...]]:
-    """Deterministic small subset family for graphs too big to sweep: three
+    """Deterministic subset family for graphs too big to sweep: three
     single vertices, then the first filtration levels and their complements."""
     subsets: list[tuple[int, ...]] = [(0,), (g.n // 2,), (g.n - 1,)]
     if filt is not None:
         for level in filt.levels[:-1][:4]:
-            if len(level) <= MAX_EXACT_SUBSET:
-                subsets.append(level)
-            comp = tuple(sorted(set(range(g.n)) - set(level)))
-            if 0 < len(comp) <= MAX_EXACT_SUBSET:
-                subsets.append(comp)
+            subsets.append(level)
+            subsets.append(tuple(sorted(set(range(g.n)) - set(level))))
     return [sub for sub in dict.fromkeys(subsets) if 0 < len(sub) < g.n]
 
 
@@ -371,8 +378,9 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     checks); larger graphs get a deterministic selection of single vertices,
     filtration levels from vertex 0 and their complements. On a connected
     graph whose filtration has two levels with a non-empty complement, the
-    essential-spectrum bounds are checked along it, exact up to
-    MAX_EXACT_SUBSET complement vertices.
+    essential-spectrum bounds are checked along it. Every Cheeger constant
+    is exact, so no subset is left out for its size: on larger graphs the
+    selected levels and complements are checked whatever their size.
     """
     reports = [
         verify_green(g, name),
@@ -389,9 +397,12 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
         sandwich_subsets = dirichlet_subsets
     for omega in dirichlet_subsets:
         reports.append(verify_dirichlet_bounds(g, omega, name))
+    # both checks of a subset share its two constants, from one network
     for omega in sandwich_subsets:
-        reports.append(verify_cheeger_sandwich(g, omega, name))
-        reports.append(verify_fujiwara(g, omega, name))
+        idx = subset_array(g, omega)
+        h, ht = (res.value for res in _exact(g, idx))
+        reports.append(_sandwich(g, idx, h, ht, name))
+        reports.append(_fujiwara(g, idx, ht, name))
     # every level but the last (the whole graph) has a non-empty complement
     if filt is not None and len(filt.levels) >= 3:
         reports.append(verify_ess_bound_consistency(g, filt, name))

@@ -7,7 +7,11 @@ benchmark fail with an AttributeError, so the names are checked here.
 
 import collections
 import importlib.util
+import json
+import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -91,3 +95,32 @@ def test_setup_files_load_back(tmp_path, monkeypatch, workload):
         assert back.n == g.n
         for field in ("measure", "edge_from", "edge_to", "edge_weight"):
             assert getattr(back, field).tobytes() == getattr(g, field).tobytes()
+
+
+# A traced pass reports per-layer counters; its result line must stay
+# readable by JSON readers limited to finite floats and 64-bit integers.
+
+
+def test_traced_cheeger_pass_reports_bounded_numbers(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("bench_workloads", SPANS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    seeds = json.dumps(workloads.instance_seeds("cheeger_profile", 1))
+    src = str(SPANS.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, str(SPANS.parent / "worker.py"), "cheeger_profile", seeds,
+         "result.json", "traced", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert [op["name"] for op in result["operations"] if op["failed"]] == []
+    json.dumps(result, allow_nan=False)
+    for name, value in result["trace"].items():
+        if isinstance(value, int):
+            assert abs(value) < 2**63, name
+        else:
+            assert isinstance(value, float) and math.isfinite(value), name

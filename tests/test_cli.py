@@ -127,6 +127,31 @@ class TestCheck:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["satisfied"] is True
 
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("vertices", "m", "measure of vertex 2 is not finite"),
+            ("edges", "b", "edge (2, 0) has a weight that is not finite"),
+        ],
+    )
+    def test_number_too_large_for_a_float_exits_two(self, tmp_path, capsys, section, key, message):
+        obj = dirlap.graph_to_json_obj(gen_cycle(3))
+        obj[section][2][key] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_non_positive_measure_prints_a_plain_float(self, tmp_path, capsys):
+        obj = dirlap.graph_to_json_obj(gen_cycle(3))
+        obj["vertices"][1]["m"] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err == "error: measure of vertex 1 is 0.0, must be > 0\n"
+
 
 class TestSpectrum:
     def test_csv_matches_closed_form(self, triangle_file, capsys):
@@ -266,12 +291,20 @@ class TestCheeger:
         assert code == 0
         assert json.loads(out)["mode"] == "upper_bound"
 
-    def test_auto_mode_picks_heuristic_when_large(self, tmp_path, capsys):
+    def test_default_mode_is_exact_when_large(self, tmp_path, capsys):
+        # an arc of 24 vertices of a 25-cycle
         path = tmp_path / "big.json"
         save_graph(gen_cycle(25), path)
-        code, out, _ = run(capsys, "cheeger", str(path))
+        code, out, _ = run(capsys, "cheeger", str(path), "--omega", json.dumps(list(range(24))))
         assert code == 0
-        assert json.loads(out)["mode"] == "upper_bound"
+        assert json.loads(out) == {
+            "value": 2 / 24, "witness": list(range(24)), "mode": "exact", "normalization": "measure"
+        }
+
+    def test_auto_mode_is_gone(self, triangle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "cheeger", triangle_file, "--mode", "auto")
+        assert exc.value.code == 2
 
     def test_bad_omega_is_input_error(self, triangle_file, capsys):
         code, _, err = run(capsys, "cheeger", triangle_file, "--omega", "nonsense")
@@ -488,7 +521,7 @@ def test_module_entry_point(tmp_path):
 
 
 def test_verify_is_identical_across_blas_threads(tmp_path):
-    # n = 23: the complement of the root is enumerated exactly at the k = 22 cap
+    # n = 23: the complement of the root has 22 vertices
     save_graph(gen_random_circulation(23, 4, seed=4), tmp_path / "g23.json")
     # run from tmp_path with a relative path, since the instance names carry it
     package_root = os.path.dirname(os.path.dirname(dirlap.__file__))

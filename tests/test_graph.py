@@ -383,6 +383,8 @@ LAST = [
     ("vertex-m-negative", lambda o: _set(o, V, -1, m=-0.5)),
     ("vertex-m-inf", lambda o: _set(o, V, -1, m=math.inf)),
     ("vertex-m-nan", lambda o: _set(o, V, -1, m=math.nan)),
+    ("vertex-m-huge", lambda o: _set(o, V, -1, m=10**400)),
+    ("vertex-m-minus-huge", lambda o: _set(o, V, -1, m=-(10**400))),
     ("edge-not-object", lambda o: _put(o, E, -1, "edge")),
     ("edge-no-from", lambda o: _drop(o, E, -1, "from")),
     ("edge-no-to", lambda o: _drop(o, E, -1, "to")),
@@ -402,6 +404,7 @@ LAST = [
     ("edge-b-nan", lambda o: _set(o, E, -1, b=math.nan)),
     ("edge-b-minus-inf", lambda o: _set(o, E, -1, b=-math.inf)),
     ("edge-b-inf", lambda o: _set(o, E, -1, b=math.inf)),
+    ("edge-b-huge", lambda o: _set(o, E, -1, b=10**400)),
     ("edge-duplicate", lambda o: _dup_first(o, -1)),
     ("totals-overflow", lambda o: {**o, E: [{**e, "b": 1.5e308} for e in o[E]]}),
     ("no-vertices", lambda o: {**o, V: []}),
@@ -416,6 +419,8 @@ ORDER = [
     ("gap-then-bad-edge", lambda o: _set(_set(o, V, -1, id=_last_n(o)), E, 0, b=None)),
     ("measure-then-loop", lambda o: _set(_set(o, V, -1, m=0.0), E, 0, to=o[E][0]["from"])),
     ("inf-measure-then-zero", lambda o: _set(_set(o, V, 0, m=math.inf), V, -1, m=0.0)),
+    ("huge-measure-then-zero", lambda o: _set(_set(o, V, 0, m=10**400), V, -1, m=0.0)),
+    ("huge-weight-then-duplicate", lambda o: _dup_first(_set(o, E, -1, b=10**400), 1)),
     ("range-then-bad-edge", lambda o: _set(_set(o, E, 0, to=-3), E, -1, b="x")),
     ("range-then-loop", lambda o: _set(_set(o, E, 0, to=10**30), E, -1, to=o[E][-1]["from"])),
     ("loop-then-range", lambda o: _set(_set(o, E, 0, to=o[E][0]["from"]), E, -1, to=10**30)),

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import cycle_sums
-from util import bitwise_subset_sums, brute_cheeger, mask_cut_table
+from util import brute_cheeger, float_cheeger, pi_circulation, rational_cheeger
 
 from dirlap import (
     NORMALIZATIONS,
     DisconnectedError,
     EmptyComplementError,
     Filtration,
-    SubsetTooLargeError,
     build_filtration,
     build_graph,
-    cheeger,
     cheeger_exact,
     cheeger_heuristic,
     gen_cycle,
@@ -27,11 +25,8 @@ from dirlap import (
     gen_random_circulation,
     gen_symmetric_tree,
     infinity_profile,
-    isoperimetric,
     m_M_constants,
-    verify_graph,
 )
-from dirlap.isoperimetric import _cut_table, _exact_results, _subset_sums
 
 
 def subset_ratio(g, members, normalization):
@@ -42,36 +37,12 @@ def subset_ratio(g, members, normalization):
     return cut / sum(vals[v] for v in inside)
 
 
-def oracle_result(g, omega, normalization):
-    """(value.hex(), witness) of the exact constant from the mask oracles."""
-    idx = np.asarray(sorted(set(omega)))
-    vals = g.measure if normalization == "measure" else g.beta_plus
-    ratios = mask_cut_table(g, idx)[1:] / bitwise_subset_sums(vals[idx])[1:]
-    best = ratios.min()
-    members = [[int(v) for i, v in enumerate(idx) if (m + 1) >> i & 1]
-               for m in np.flatnonzero(ratios == best).tolist()]
-    return best.hex(), tuple(min(members))
-
-
 def rescaled(g):
     """The same edges with weights times pi and measures 1 + i / 8: another
     balanced graph with the same vertex ids."""
     return build_graph(
         [1.0 + i / 8 for i in range(g.n)], [(u, v, w * math.pi) for u, v, w in g.edges()]
     )
-
-
-@pytest.fixture
-def cut_table_sizes(monkeypatch):
-    """Sizes of the cut tables built while the fixture is active, in order."""
-    sizes = []
-
-    def counting(g, ids):
-        sizes.append(len(ids))
-        return _cut_table(g, ids)
-
-    monkeypatch.setattr(isoperimetric, "_cut_table", counting)
-    return sizes
 
 
 class TestCheegerExact:
@@ -95,11 +66,22 @@ class TestCheegerExact:
         assert res.value == 0.0
         assert res.witness == (0, 1, 2, 3, 4)
 
-    def test_tie_breaks_to_lexicographically_smallest(self):
+    def test_tie_breaks_to_union_of_minimizers(self):
         # in a 4-cycle the subsets {1}, {3} and {1,3} all have ratio 2
         res = cheeger_exact(gen_cycle(4), [1, 3])
         assert res.value == 2.0
-        assert res.witness == (1,)
+        assert res.witness == (1, 3)
+
+    def test_exact_at_every_size(self):
+        g = gen_random_circulation(24, 8, seed=4)
+        for size in (4, 22, 23, 24):
+            res = cheeger_exact(g, range(size), "beta_plus")
+            assert res.mode == "exact"
+            assert res.value <= cheeger_heuristic(g, range(size), "beta_plus").value
+            assert res.value == subset_ratio(g, res.witness, "beta_plus")
+        # an arc of 23 vertices of a 25-cycle: every arc has cut 2
+        res = cheeger_exact(gen_cycle(25), range(23))
+        assert (res.value, res.witness) == (2 / 23, tuple(range(23)))
 
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     @pytest.mark.parametrize("seed", range(4))
@@ -135,11 +117,6 @@ class TestCheegerExact:
         assert res.value == pytest.approx(1.0)
         assert res.normalization == "beta_plus"
 
-    def test_rejects_oversized_subset(self):
-        g = gen_cycle(25)
-        with pytest.raises(SubsetTooLargeError):
-            cheeger_exact(g, range(23))
-
     def test_rejects_unknown_normalization(self):
         with pytest.raises(ValueError):
             cheeger_exact(gen_cycle(3), [0], "volume")
@@ -174,119 +151,68 @@ def ring_graph(k, seed):
     return g, omega
 
 
-class TestCutTables:
+class TestRingGraphs:
     @pytest.mark.parametrize("k", range(1, 17))
-    def test_bit_identical_to_mask_oracle(self, k):
-        for seed in range(2):
-            g, omega = ring_graph(k, 1000 * k + seed)
-            table = _cut_table(g, tuple(omega.tolist()))
-            assert table.tobytes() == mask_cut_table(g, omega).tobytes()
-            for vals in (g.measure[omega], g.beta_plus[omega], g.edge_weight[:k] * math.e):
-                assert _subset_sums(vals).tobytes() == bitwise_subset_sums(vals).tobytes()
-
-    def test_cached_results_give_each_call_its_own_result(self):
-        # two graphs with the same vertex ids, two subsets, both normalizations
-        base = gen_random_circulation(12, 5, seed=3)
-        other = rescaled(base)
-        calls = [
-            (g, omega, normalization)
-            for omega in ([0, 2, 3, 5, 7, 8, 11], list(range(1, 10)))
-            for g in (base, other)
-            for normalization in NORMALIZATIONS
-        ]
-
-        def result(call):
-            res = cheeger_exact(*call)
-            return res.value.hex(), res.witness
-
-        alone = []
-        for call in calls:
-            _exact_results.cache_clear()
-            alone.append(result(call))
-            assert alone[-1] == oracle_result(*call)
-        _exact_results.cache_clear()
-        # alternate between the two subsets, then run everything backwards
-        order = [i for pair in zip(range(4), range(4, 8)) for i in pair] + list(range(8))[::-1]
-        for i in order:
-            assert result(calls[i]) == alone[i], calls[i][1:]
-
-    def test_both_normalizations_cost_one_build(self, cut_table_sizes):
-        g = gen_random_circulation(12, 5, seed=3)
-        for normalization in NORMALIZATIONS * 2:
-            cheeger_exact(g, [0, 2, 3, 5], normalization)
-        assert cut_table_sizes == [4]
-        assert _exact_results.cache_info().misses == 1
-
-    def test_verify_builds_each_subset_once(self, cut_table_sizes):
-        # n = 23: the sandwich and Fujiwara checks ask for the filtration
-        # complements of sizes 22, 18 and 6 before the essential-spectrum
-        # profile asks for them again
-        verify_graph(gen_random_circulation(23, 4, seed=4))
-        assert cut_table_sizes == [1, 1, 1, 22, 5, 18, 17, 6]
-
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    @given(data=st.data(), g=cycle_sums())
-    def test_call_history_cannot_change_a_result(self, data, g):
-        graphs = (g, rescaled(g))
-        vertex_sets = st.sets(st.integers(0, g.n - 1), min_size=1)
-        pool = data.draw(st.lists(vertex_sets, min_size=1, max_size=3))
-        calls = data.draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(graphs), st.sampled_from(pool), st.sampled_from(NORMALIZATIONS)
-                ),
-                min_size=1,
-                max_size=12,
-            )
-        )
-        for h, omega, normalization in calls:
-            res = cheeger_exact(h, sorted(omega), normalization)
-            assert (res.value.hex(), res.witness) == oracle_result(h, omega, normalization)
-
-
-def exact_cuts(g, omega):
-    """Per non-empty mask of the sorted omega, the exact rational cut of the
-    stored floats, summed straight off the edge list."""
-    cuts = {}
-    for mask in range(1, 1 << len(omega)):
-        inside = {v for i, v in enumerate(omega) if mask >> i & 1}
-        crossing = (w for u, v, w in g.edges() if (u in inside) != (v in inside))
-        cuts[mask] = sum(map(Fraction, crossing), Fraction(0))
-    return cuts
+    def test_matches_oracles(self, k):
+        # non-dyadic weights and measures, so every float sum rounds; the
+        # internal pairs include the first, last and wrap-around ones
+        g, omega = ring_graph(k, 1000 * k)
+        for normalization in NORMALIZATIONS:
+            res = cheeger_exact(g, omega, normalization)
+            if k <= 12:
+                best, union = rational_cheeger(g, omega, normalization)
+                assert (res.value, res.witness) == (float(best), union)
+            else:
+                # within rounding; see TestExactRationalBounds
+                value = float_cheeger(g, omega, normalization)
+                terms = g.edge_weight.size + k + 2
+                assert abs(res.value - value) * 2**52 <= terms * value
 
 
 class TestExactRationalBounds:
-    """Rounding bounds against exact rational sums, which hold in whatever
-    order the tables add. A sum of at most E non-negative terms rounds by at
-    most E * 2^-53 relative, so a cut (at most E edge weights) is within
-    E * 2^-53 and a ratio (cut, at most k measures, one division) within
-    (E + k + 2) * 2^-53 of its exact value. The witness's rounded ratio is
-    no larger than the minimum's, so its exact ratio is within twice the
-    ratio bound of the exact minimum."""
+    """The flow is exact: its value is the exact rational minimum over the
+    stored floats, correctly rounded, and its witness the union of every
+    subset attaining it. Enumeration with rounded float sums agrees up to
+    the rounding of its sums: a sum of at most E non-negative terms rounds
+    by at most E * 2^-53 relative, so a ratio (cut of at most E edge
+    weights, at most k denominators, one division) is within
+    (E + k + 2) * 2^-53 of its exact value, and the flow's value within
+    2^-53, so the two agree within 2 (E + k + 2) * 2^-53 relative."""
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     @given(data=st.data(), g=cycle_sums())
     def test_cuts_values_and_witnesses(self, data, g):
         h = data.draw(st.sampled_from((g, rescaled(g))))
         omega = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=12)))
-        edges = h.edge_weight.size
-        table = _cut_table(h, tuple(omega))
-        cuts = exact_cuts(h, omega)
-        for mask, cut in cuts.items():
-            assert abs(Fraction(float(table[mask])) - cut) * 2**53 <= edges * cut
-        ratio_terms = edges + len(omega) + 2
         for normalization in NORMALIZATIONS:
             source = h.measure if normalization == "measure" else h.beta_plus
-            vals = [Fraction(float(source[v])) for v in omega]
-            ratios = {
-                mask: cut / sum(x for i, x in enumerate(vals) if mask >> i & 1)
-                for mask, cut in cuts.items()
-            }
-            best = min(ratios.values())
             res = cheeger_exact(h, omega, normalization)
-            assert abs(Fraction(res.value) - best) * 2**53 <= ratio_terms * best
-            witness = sum(1 << omega.index(v) for v in res.witness)
-            assert (ratios[witness] - best) * 2**53 <= 2 * ratio_terms * best
+            best, union = rational_cheeger(h, omega, normalization)
+            assert (res.value, res.witness) == (float(best), union)
+            # the union of the minimizers is itself a minimizer
+            inside = set(res.witness)
+            cut = sum(Fraction(w) for u, v, w in h.edges() if (u in inside) != (v in inside))
+            assert cut / sum(Fraction(float(source[v])) for v in inside) == best
+
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(
+        pi=st.booleans(),
+        n=st.integers(3, 17),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_circulations_against_enumeration(self, pi, n, seed, data):
+        g = pi_circulation(n, seed) if pi else gen_random_circulation(n, max(2, n // 2), seed)
+        omega = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=16)))
+        ratio_terms = g.edge_weight.size + len(omega) + 2
+        for normalization in NORMALIZATIONS:
+            res = cheeger_exact(g, omega, normalization)
+            if len(omega) <= 12:
+                best, union = rational_cheeger(g, omega, normalization)
+                assert (res.value, res.witness) == (float(best), union)
+            else:
+                value, _ = brute_cheeger(g, omega, normalization)
+                assert abs(res.value - value) * 2**52 <= ratio_terms * value
 
 
 def traced_peak(fn, *args):
@@ -301,15 +227,17 @@ def traced_peak(fn, *args):
 
 
 class TestExactMemory:
-    def test_cut_table_holds_one_table(self):
-        # the root complement of the n = 23 verify graph: 22 vertices, 32 MB
-        g = gen_random_circulation(23, 4, seed=4)
-        g.adjacency  # built before tracing
-        assert traced_peak(_cut_table, g, tuple(range(1, 23))) <= 1.1 * 8 * 2**22
+    """The flow holds the network, O(k + pairs) Python ints, and no table
+    over the 2^k subsets."""
 
-    def test_exact_results_hold_two_tables(self):
-        # every pair of the 16 vertices joined, so the last vertex's packet
-        # tables have 2^15 entries each
+    def test_k22_call_holds_no_table(self):
+        # the root complement of the n = 23 verify graph
+        g = gen_random_circulation(23, 4, seed=4)
+        g.adjacency, g.beta_plus  # built before tracing
+        assert traced_peak(cheeger_exact, g, range(1, 23)) <= 2**17
+
+    def test_dense_16_vertex_call_holds_no_table(self):
+        # every pair of the 16 vertices joined
         n = 18
         g = build_graph(
             [1.0] * n,
@@ -320,7 +248,7 @@ class TestExactMemory:
             ],
         )
         g.adjacency, g.beta_plus  # built before tracing
-        assert traced_peak(_exact_results, g, tuple(range(1, 17))) <= 2.25 * 8 * 2**16
+        assert traced_peak(cheeger_exact, g, range(1, 17), "beta_plus") <= 2**17
 
 
 class TestCheegerHeuristic:
@@ -394,16 +322,6 @@ class TestCheegerHeuristic:
         )
 
 
-class TestCheegerAuto:
-    def test_exact_up_to_budget_then_heuristic(self):
-        # the exact-enumeration budget is the fixed cap of 22 vertices
-        g = gen_random_circulation(24, 8, seed=4)
-        for size, mode in ((4, "exact"), (22, "exact"), (23, "upper_bound")):
-            assert cheeger(g, range(size), "beta_plus").mode == mode, size
-        assert cheeger(g, range(5)) == cheeger_exact(g, range(5))
-        assert cheeger(g, range(23)) == cheeger_heuristic(g, range(23))
-
-
 class TestMMConstants:
     def test_unit_cycle_is_flat(self):
         assert m_M_constants(gen_cycle(5), range(5)) == (1.0, 1.0)
@@ -461,7 +379,6 @@ class TestInfinityProfile:
         g = gen_layered_heavy(5, 3, gamma=2.0)
         prof = infinity_profile(g, build_filtration(g, 0))
         assert prof.heavy_end
-        assert prof.all_exact
         m_seq = prof.sequence("m_c")
         assert m_seq == sorted(m_seq)
         assert m_seq[-1] >= 10.0 * m_seq[0]
@@ -489,19 +406,33 @@ class TestInfinityProfile:
         assert all(row.complement_size > 0 for row in prof.levels)
         assert len(prof.levels) == len(filt.levels) - 1
 
-    def test_budget_forces_heuristic_mode(self):
-        # complements above the exact cap of 22 vertices go to the heuristic
+    def test_large_complements_are_exact(self):
+        # complements above 22 vertices were left to the heuristic
         g = gen_layered_heavy(3, 8, gamma=2.0)
         filt = build_filtration(g, 0)
         prof = infinity_profile(g, filt)
         assert [row.complement_size for row in prof.levels[:2]] == [23, 20]
-        assert not prof.all_exact
         for row, level in zip(prof.levels, filt.levels):
             comp = sorted(set(range(g.n)) - set(level))
-            solve = cheeger_exact if len(comp) <= 22 else cheeger_heuristic
-            h, ht = solve(g, comp, "measure"), solve(g, comp, "beta_plus")
-            assert (row.h_c, row.h_mode) == (h.value, h.mode)
-            assert (row.h_tilde_c, row.h_tilde_mode) == (ht.value, ht.mode)
+            h, ht = cheeger_exact(g, comp, "measure"), cheeger_exact(g, comp, "beta_plus")
+            assert (row.h_c, row.h_tilde_c) == (h.value, ht.value)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_layered_25_levels(self, gamma):
+        # n = 100: the heuristic's values bound every level from above,
+        # and small complements match the exact-rational oracle
+        g = gen_layered_heavy(25, 4, gamma)
+        filt = build_filtration(g, 0)
+        prof = infinity_profile(g, filt)
+        assert len(prof.levels) == len(filt.levels) - 1
+        for row, level in zip(prof.levels, filt.levels):
+            comp = sorted(set(range(g.n)) - set(level))
+            assert row.h_c <= cheeger_heuristic(g, comp, "measure").value
+            assert row.h_tilde_c <= cheeger_heuristic(g, comp, "beta_plus").value
+            assert row.ess_lower_bound <= row.nu_dirichlet
+            if len(comp) <= 12:
+                for value, normalization in ((row.h_c, "measure"), (row.h_tilde_c, "beta_plus")):
+                    assert value == float(rational_cheeger(g, comp, normalization)[0])
 
     def test_levels_report_metadata(self):
         g = gen_layered_heavy(3, 3, gamma=2.0)
@@ -509,7 +440,6 @@ class TestInfinityProfile:
         first = prof.levels[0]
         assert first.level == 1
         assert first.complement_size == g.n - len(build_filtration(g, 0).levels[0])
-        assert first.h_mode in ("exact", "upper_bound")
 
     def test_rejects_short_filtration(self):
         g = gen_cycle(3)

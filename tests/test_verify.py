@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dirlap import (
+    NORMALIZATIONS,
     EmptyComplementError,
     Filtration,
     KirchhoffViolatedError,
     SplitMix64,
-    SubsetTooLargeError,
     TheoremReport,
     assemble,
     build_filtration,
@@ -255,9 +255,12 @@ class TestCheegerSandwich:
             r = verify_cheeger_sandwich(g, omega)
             assert r.passed, (omega, r.margin)
 
-    def test_rejects_oversized(self):
-        with pytest.raises(SubsetTooLargeError):
-            verify_cheeger_sandwich(gen_cycle(25), range(23))
+    def test_accepts_large_subsets(self):
+        # an arc of a cycle, h = ht = 2 / 23
+        r = verify_cheeger_sandwich(gen_cycle(25), range(23))
+        assert r.passed
+        h = 2 / 23
+        assert r.lhs[0] == h * h / 8
 
 
 class TestFujiwara:
@@ -319,6 +322,36 @@ class TestVerifyGraph:
         assert ids.count("essential_spectrum_lower_bound") == 1
         # far fewer subset reports than the 2^12 exhaustive sweep would give
         assert len(reports) < 60
+
+    def test_large_complements_are_checked(self):
+        # n = 30: the root's complement has 29 vertices
+        g = gen_random_circulation(30, 15, 1)
+        reports = verify_graph(g, "c30")
+        assert all(r.passed for r in reports), [
+            (r.theorem_id, r.instance, r.margin) for r in reports if not r.passed
+        ]
+        sizes = [
+            len(r.instance.split("omega={", 1)[1].split("}", 1)[0].split(","))
+            for r in reports
+            if r.theorem_id == "cheeger_sandwich"
+        ]
+        assert max(sizes) > 22
+
+    def test_one_network_per_subset(self, monkeypatch):
+        # the sandwich and Fujiwara checks of a subset share its two
+        # constants, solved once over one network
+        solved = []
+
+        def counting(g, idx, normalizations=NORMALIZATIONS):
+            solved.append((tuple(idx.tolist()), tuple(normalizations)))
+            return exact(g, idx, normalizations)
+
+        exact = verify._exact
+        monkeypatch.setattr(verify, "_exact", counting)
+        reports = verify_graph(gen_random_circulation(6, 3, seed=1))
+        sandwich = [r for r in reports if r.theorem_id == "cheeger_sandwich"]
+        assert len(solved) == len(set(solved)) == len(sandwich) == 2**6 - 1
+        assert {normalizations for _, normalizations in solved} == {NORMALIZATIONS}
 
     def test_instance_names_carry_graph_name(self):
         reports = verify_graph(gen_cycle(3), "tri")

@@ -8,6 +8,7 @@ report assembly) from the package.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -39,18 +40,15 @@ def brute_cheeger(g, omega, normalization):
     boundary weights straight off the edge list."""
     omega = sorted(set(omega))
     denom_source = g.measure if normalization == "measure" else g.beta_plus
+    # an edge with neither end in omega never crosses
+    members = set(omega)
+    edges = [(u, v, w) for u, v, w in g.edges() if u in members or v in members]
     best = None
     best_set = None
     for size in range(1, len(omega) + 1):
         for sub in combinations(omega, size):
             inside = set(sub)
-            cut = sum(
-                w
-                for u, v, w in zip(
-                    g.edge_from.tolist(), g.edge_to.tolist(), g.edge_weight.tolist()
-                )
-                if (u in inside) != (v in inside)
-            )
+            cut = sum(w for u, v, w in edges if (u in inside) != (v in inside))
             denom = sum(denom_source[v] for v in sub)
             value = cut / denom
             key = tuple(sub)
@@ -58,6 +56,53 @@ def brute_cheeger(g, omega, normalization):
                 best = value
                 best_set = key
     return best, best_set
+
+
+def float_cheeger(g, omega, normalization):
+    """Float minimum ratio over every non-empty subset of omega, from numpy
+    tables of every subset's membership, cut and denominator."""
+    omega = np.asarray(sorted(set(omega)))
+    denom_source = g.measure if normalization == "measure" else g.beta_plus
+    masks = np.arange(1, 1 << omega.size)
+    bits = ((masks[:, None] >> np.arange(omega.size)) & 1).astype(bool)
+    inside = np.zeros((masks.size, g.n), dtype=bool)
+    inside[:, omega] = bits
+    cut = (inside[:, g.edge_from] != inside[:, g.edge_to]) @ g.edge_weight
+    return float(np.min(cut / (bits @ denom_source[omega])))
+
+
+def _integers(floats):
+    """The floats of a dict as exact integer multiples of 1 / scale:
+    (dict of the integers, scale)."""
+    ratios = {key: x.as_integer_ratio() for key, x in floats.items()}
+    scale = max((d for _, d in ratios.values()), default=1)
+    return {key: n * (scale // d) for key, (n, d) in ratios.items()}, scale
+
+
+def rational_cheeger(g, omega, normalization):
+    """Exact Cheeger constant of the stored floats: (minimum ratio as a
+    Fraction, union of the subsets attaining it), by enumerating every
+    non-empty subset of omega with exact rational sums."""
+    omega = sorted(set(omega))
+    denom_source = g.measure if normalization == "measure" else g.beta_plus
+    members = set(omega)
+    edges = [(u, v, w) for u, v, w in g.edges() if u in members or v in members]
+    # a float is an integer over a power of two, so every float of a list
+    # is an integer multiple of 1 / (the largest of those powers)
+    denom, denom_scale = _integers({v: float(denom_source[v]) for v in omega})
+    weights, cut_scale = _integers({i: w for i, (_, _, w) in enumerate(edges)})
+    edges = [(u, v, weights[i]) for i, (u, v, _) in enumerate(edges)]
+    best, union = None, set()
+    for size in range(1, len(omega) + 1):
+        for sub in combinations(omega, size):
+            inside = set(sub)
+            cut = sum(w for u, v, w in edges if (u in inside) != (v in inside))
+            value = Fraction(cut * denom_scale, cut_scale * sum(denom[v] for v in sub))
+            if best is None or value < best:
+                best, union = value, inside
+            elif value == best:
+                union |= inside
+    return best, tuple(sorted(union))
 
 
 def convex_hull(points):
@@ -131,53 +176,6 @@ def spectra_mismatch(got, expected):
     assert a.size == b.size
     dist = np.abs(a[:, None] - b[None, :])
     return float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
-
-
-def bitwise_subset_sums(vals):
-    """table[S] = sum of vals[i] over bits i set in S: one masked pass per
-    bit, the reference for the package's subset-sum tables."""
-    k = vals.size
-    table = np.zeros(1 << k)
-    for i in range(k):
-        step = 1 << i
-        table.reshape(-1, 2 * step)[:, step:] += vals[i]
-    return table
-
-
-def mask_cut_table(g, idx):
-    """Reference cut table over the subset idx (a sorted int array), in the
-    package's packet order: each entry is ((0.0 + p_0) + p_1) + ... +
-    p_(k-1), where p_t is ext_t plus t's pair weights to lower neighbours
-    outside the subset when t is in it, and its pair weights to lower
-    neighbours inside it otherwise. Weights are summed in edge order
-    straight off the edge list, and each packet is taken from the masks of
-    all 2^k subsets in one pass per vertex."""
-    k = idx.size
-    pos = {int(v): i for i, v in enumerate(idx.tolist())}
-    ext = [0.0] * k
-    pair = {}
-    for u, v, w in g.edges():
-        a, b = pos.get(u), pos.get(v)
-        if a is not None and b is not None:
-            key = (min(a, b), max(a, b))
-            pair[key] = pair.get(key, 0.0) + w
-        elif a is not None:
-            ext[a] += w
-        elif b is not None:
-            ext[b] += w
-    masks = np.arange(1 << k, dtype=np.uint32)
-    cut = np.zeros(1 << k)
-    for t in range(k):
-        inside = np.zeros(1 << k)
-        outside = np.zeros(1 << k)
-        for (i, j), w in sorted(pair.items()):
-            if j == t:
-                has_i = ((masks >> i) & 1) == 1
-                inside += np.where(has_i, w, 0.0)
-                outside += np.where(has_i, 0.0, w)
-        has_t = ((masks >> t) & 1) == 1
-        cut += np.where(has_t, ext[t] + outside, inside)
-    return cut
 
 
 def full_sweep_boundary(op, n_angles):
@@ -314,7 +312,10 @@ def _loop_json_number(item, key, convert):
     allowed = int if convert is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ValueError(f"{key!r} is not a JSON number")
-    return convert(value)
+    try:
+        return convert(value)
+    except OverflowError:  # an integer beyond every float
+        return math.inf if value > 0 else -math.inf
 
 
 def loop_graph_from_json_obj(obj):
@@ -356,7 +357,7 @@ def loop_graph_from_json_obj(obj):
         raise SchemaViolationError("graph needs at least one vertex")
     for i, x in enumerate(m):
         if not x > 0:
-            raise NonPositiveMeasureError(f"measure of vertex {i} is {x!r}, must be > 0")
+            raise NonPositiveMeasureError(f"measure of vertex {i} is {float(x)!r}, must be > 0")
     for i, x in enumerate(m):
         if not math.isfinite(x):
             raise SchemaViolationError(f"measure of vertex {i} is not finite")
