@@ -259,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--op", choices=sorted(_OP_CHOICES), default=None,
             help="operator of a graph file (default delta); on an operator file, its kind",
         )
-        p.add_argument("--omega", default=None, help="JSON array of vertex ids")
-        p.add_argument("--omega-file", default=None)
+        omega = p.add_mutually_exclusive_group()
+        omega.add_argument("--omega", default=None, help="JSON array of vertex ids")
+        omega.add_argument("--omega-file", default=None)
         p.add_argument("--dump-operator", default=None, help="also export the operator (.json or CSV)")
         p.add_argument("--out", default=None)
         if name == "numrange":
@@ -268,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="isoperimetric constant of a subset")
     p.add_argument("input", help="graph JSON file")
-    p.add_argument("--omega", default=None, help="JSON array of vertex ids (default: all)")
-    p.add_argument("--omega-file", default=None)
+    omega = p.add_mutually_exclusive_group()
+    omega.add_argument("--omega", default=None, help="JSON array of vertex ids (default: all)")
+    omega.add_argument("--omega-file", default=None)
     p.add_argument("--normalization", choices=["measure", "beta_plus"], default="measure")
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     p.add_argument("--out", default=None)

@@ -222,13 +222,20 @@ def operator_from_json_obj(obj) -> Operator:
         raise SchemaViolationError("metric entries must be > 0")
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(metric))):
         raise SchemaViolationError("operator matrix and metric must be finite")
+    # bool is a subclass of int, but true/false are not vertex ids
+    if support is not None and not (
+        isinstance(support, list)
+        and all(type(v) is int and v >= 0 for v in support)
+        and len(set(support)) == len(support) == matrix.shape[0]
+    ):
+        raise SchemaViolationError("support must be null or one distinct vertex id >= 0 per row")
     matrix.flags.writeable = False
     metric.flags.writeable = False
     return Operator(
         matrix=matrix,
         metric=metric,
         kind=kind,
-        support=None if support is None else tuple(int(v) for v in support),
+        support=None if support is None else tuple(support),
     )
 
 

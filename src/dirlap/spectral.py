@@ -146,11 +146,17 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     )
 
 
+def _hermitian_extremes(op: Operator) -> tuple[float, float]:
+    """inf and sup Re of the numerical range: the Hermitian part's extreme eigenvalues."""
+    with converging():
+        sym = np.linalg.eigvalsh(hermitian_part(to_euclidean(op)))  # ascending
+    return float(sym[0]), float(sym[-1])
+
+
 def nu(op: Operator) -> float:
     """inf Re of the numerical range: smallest eigenvalue of the Hermitian
     part in Euclidean coordinates. Computed spectrally, not by sampling."""
-    with converging():
-        return float(np.linalg.eigvalsh(hermitian_part(to_euclidean(op)))[0])
+    return _hermitian_extremes(op)[0]
 
 
 def operator_norm(op: Operator) -> float:

@@ -460,6 +460,45 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "support, omega",
+        [
+            ([0, 1, 2], "[2]"),
+            (["a", "b"], None),
+            (5, None),
+            ([1.7, 2], None),
+            ([0, 0], None),
+            ([True, 1], None),
+            ([-1, 0], None),
+        ],
+        ids=[
+            "longer-than-matrix", "strings", "scalar", "fractional", "repeated", "boolean",
+            "negative",
+        ],
+    )
+    def test_bad_operator_support(self, tmp_path, capsys, support, omega):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({
+            "kind": "delta", "metric": [1.0, 1.0], "matrix": [[1.0, -1.0], [-1.0, 1.0]],
+            "support": support,
+        }))
+        flags = [] if omega is None else ["--omega", omega]
+        code, out, err = run(capsys, "spectrum", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "support" in err
+
+    @pytest.mark.parametrize("command", ["cheeger", "spectrum"])
+    def test_omega_and_omega_file_exclude_each_other(
+        self, triangle_file, tmp_path, capsys, command
+    ):
+        omega_path = tmp_path / "omega.json"
+        omega_path.write_text("[0, 1]")
+        with pytest.raises(SystemExit) as exc:
+            main([command, triangle_file, "--omega", "[0]", "--omega-file", str(omega_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     @pytest.mark.parametrize("omega", ["[true]", "[0, false]"])
     def test_boolean_omega(self, triangle_file, capsys, omega):
         code, _, err = run(capsys, "cheeger", triangle_file, "--omega", omega)
@@ -542,8 +581,8 @@ def test_verify_is_identical_across_blas_threads(tmp_path):
     assert any(r["instance"].endswith(complement) for r in json.loads(outputs[0]))
     assert outputs[0] == outputs[1]
     # recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31, 1 and 2 threads
-    assert len(outputs[0]) == 12872
+    assert len(outputs[0]) == 12484
     assert (
         hashlib.sha256(outputs[0]).hexdigest()
-        == "063b3c7ef3c36775e4a3955472d3094934339d12dfa16adc051ad9b9c1d854da"
+        == "7376d427b1f8400e9a992ad52542887b8a1411bf84bbbac0d8546f80683e7540"
     )

@@ -4,21 +4,29 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirlap import (
     NORMALIZATIONS,
     EmptyComplementError,
     Filtration,
     KirchhoffViolatedError,
+    Operator,
     SplitMix64,
     TheoremReport,
     assemble,
     build_filtration,
     build_graph,
+    dirichlet,
     gen_cycle,
     gen_layered_heavy,
     gen_opposing_cycles,
     gen_random_circulation,
+    nu,
+    numerical_range_boundary,
+    operator_norm,
+    subset_array,
     to_euclidean,
     verify_bounded,
     verify_cheeger_sandwich,
@@ -126,11 +134,9 @@ class TestStackedChecksMatchLoops:
         g = pi_circulation(n, seed=n)
         omega = range(0, n, 2)
         got = verify_fujiwara(g, omega, "pi")
-        want = loop_verify_fujiwara(
-            g, omega, "pi", n_angles=verify._RANGE_SAMPLES_FUJIWARA, n_vectors=count
-        )
+        want = loop_verify_fujiwara(g, omega, "pi", n_vectors=count)
         assert _report_bytes(got) == _report_bytes(want)
-        assert len(got.lhs) == 5
+        assert len(got.lhs) == 4
 
 
 class TestBlockDraw:
@@ -173,6 +179,21 @@ class TestBounded:
         r = verify_bounded(gen_cycle(8))
         assert r.passed
         assert r.lhs[0] == pytest.approx(2.0, abs=1e-9)
+
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(pi=st.booleans(), n=st.integers(3, 30), seed=st.integers(0, 2**16))
+    def test_disc_certificate_covers_the_sweep(self, pi, n, seed):
+        # the second pair is ||I - A|| for the normalized operator A, which
+        # bounds |(A f, f) - 1| for every unit f, so every swept boundary
+        # point lies within it of 1
+        g = pi_circulation(n, seed) if pi else gen_random_circulation(n, max(2, n // 2), seed)
+        op = assemble(g, "normalized_delta")
+        walk = Operator(matrix=np.eye(n) - op.matrix, metric=op.metric, kind="walk")
+        r = verify_bounded(g, "circ")
+        assert r.passed and r.instance == "circ"
+        assert r.lhs[1] == operator_norm(walk) <= 1.0 + 1e-13
+        points = numerical_range_boundary(op, 360).points
+        assert np.max(np.abs(points - 1.0)) <= r.lhs[1] + 1e-13
 
 
 class TestKyFan:
@@ -273,8 +294,17 @@ class TestFujiwara:
     def test_envelope_plus_interior_chain(self):
         r = verify_fujiwara(gen_cycle(5), [0, 1])
         assert r.passed
-        # 3 envelope pairs plus the two worst interior pairs
-        assert len(r.lhs) == 5
+        # 2 envelope pairs plus the two worst interior pairs
+        assert len(r.lhs) == 4
+
+    @pytest.mark.parametrize("n", [5, 8, 23])
+    def test_envelope_ends_at_exact_extremes(self, n):
+        # rho is inf Re of the numerical range, computed as nu computes it
+        g = pi_circulation(n, seed=n)
+        for omega in (range(0, n, 2), range(1, n), [n - 1]):
+            r = verify_fujiwara(g, omega)
+            op = dirichlet(assemble(g, "delta"), subset_array(g, omega))
+            assert r.rhs[0] == 2.0 * nu(op)
 
     def test_deterministic(self):
         g = gen_random_circulation(8, 3, seed=9)
@@ -336,6 +366,13 @@ class TestVerifyGraph:
             if r.theorem_id == "cheeger_sandwich"
         ]
         assert max(sizes) > 22
+
+    def test_large_graph_samples_no_numerical_range(self):
+        reports = verify_graph(gen_random_circulation(100, 50, 1), "c100")
+        assert all(r.passed for r in reports), [
+            (r.theorem_id, r.instance, r.margin) for r in reports if not r.passed
+        ]
+        assert not any("|angles=" in r.instance for r in reports)
 
     def test_one_network_per_subset(self, monkeypatch):
         # the sandwich and Fujiwara checks of a subset share its two
