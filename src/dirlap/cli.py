@@ -184,28 +184,18 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# the LevelProfile fields of the infinity CSV, in column order after level
+_PROFILE_FIELDS = ("m_c", "M_c", "h_c", "h_tilde_c", "nu_dirichlet", "ess_lower_bound")
+
+
 def _cmd_infinity(args) -> int:
     g = load_graph(args.input)
-    filt = build_filtration(g, args.root)
-    profile = infinity_profile(g, filt)
-    lines = ["level,m_c,M_c,h_c,h_tilde_c,nu_dirichlet,ess_lower_bound"]
-    for row in profile.levels:
-        lines.append(
-            ",".join(
-                [str(row.level)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        row.m_c,
-                        row.M_c,
-                        row.h_c,
-                        row.h_tilde_c,
-                        row.nu_dirichlet,
-                        row.ess_lower_bound,
-                    )
-                ]
-            )
-        )
+    profile = infinity_profile(g, build_filtration(g, args.root))
+    lines = [",".join(("level",) + _PROFILE_FIELDS)]
+    lines += [
+        ",".join([str(row.level)] + [_fmt(getattr(row, field)) for field in _PROFILE_FIELDS])
+        for row in profile.levels
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

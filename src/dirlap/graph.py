@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,13 +149,34 @@ def build_graph(
             loops are rejected, weights must be strictly positive, and each
             vertex's outgoing and incoming totals must be finite.
 
+    Vertex ids must be Python or numpy integers and measures and weights
+    real numbers, none of them a bool; nothing else is coerced.
+
     Raises:
         NonPositiveMeasureError, NonPositiveWeightError, SelfLoopError,
         DuplicateEdgeError, IsolatedDirectionError, SchemaViolationError.
     """
-    triples = [(int(u), int(v), float(w)) for u, v, w in edges]
+    triples = [(u, v, w) for u, v, w in edges]
     tails, heads, weights = zip(*triples) if triples else ((), (), ())
-    return _graph_from_columns(np.asarray(list(measures), dtype=float), tails, heads, weights)
+    measures = list(measures)
+    _check_types(measures, Real, "measure")
+    _check_types(tails + heads, Integral, "vertex id")
+    _check_types(weights, Real, "weight")
+    return _graph_from_columns(
+        np.asarray(measures, dtype=float), [*map(int, tails)], [*map(int, heads)], weights
+    )
+
+
+def _check_types(values: Sequence, kind: type, what: str) -> None:
+    """Raise SchemaViolationError on the first value that is not an instance
+    of kind (Integral or Real) or is a bool (an int to Python), so that
+    strings, fractional ids and true/false are rejected, never coerced, as
+    in the JSON reader. Each distinct type is checked once."""
+    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, kind)}
+    if bad:
+        value = next(v for v in values if type(v) in bad)
+        noun = "an integer" if kind is Integral else "a real number"
+        raise SchemaViolationError(f"{what} {value!r} is not {noun}")
 
 
 def _graph_from_columns(

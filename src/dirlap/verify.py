@@ -23,7 +23,6 @@ from .isoperimetric import (
     Filtration,
     _exact,
     build_filtration,
-    cheeger_exact,
     infinity_profile,
     m_M_constants,
 )
@@ -240,6 +239,49 @@ def verify_dirichlet_bounds(
     )
 
 
+def _isoperimetric(
+    g: DirectedGraph, idx: np.ndarray, instance: str
+) -> tuple[TheoremReport, TheoremReport]:
+    """The Cheeger sandwich and the Fujiwara envelope of a valid subset
+    array, in that order, from one computation of the data they share: both
+    constants over one network, m and M, and each Dirichlet restriction.
+    One solve of the plain restriction's Hermitian part gives its extreme
+    eigenvalues: the bottom one is both nu_m and rho, the inf of Re over
+    the numerical range, and the top one is sigma, the sup.
+    """
+    h, ht = (res.value for res in _exact(g, idx))
+    m_c, M_c = m_M_constants(g, idx)
+    op_m = dirichlet(_assembled(g, "delta"), idx)
+    op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
+    nu_m, sigma = _hermitian_extremes(op_m)
+    nu_t = nu(op_t)
+    sandwich = [
+        (h * h / 8.0, M_c * nu_m),
+        (M_c * nu_m, 0.5 * M_c * h),
+        (ht * ht / 8.0, nu_t),
+        (nu_t, 0.5 * ht),
+        (m_c * ht * ht / 8.0, nu_m),
+    ]
+    s = float(np.sqrt(max(0.0, 4.0 - ht * ht)))
+    f = _draw(SplitMix64(_FUJIWARA_SEED), _FUJIWARA_VECTORS, idx.size)
+    two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
+    r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
+    # the worst vector of each side; argmin takes the first on ties
+    low = int(np.argmin(two_re_lam - m_c * r))
+    high = int(np.argmin(M_c * r - two_re_lam))
+    fujiwara = [
+        (m_c * (2.0 - s), 2.0 * nu_m),
+        (2.0 * sigma, M_c * (2.0 + s)),
+        (m_c * r[low], two_re_lam[low]),
+        (two_re_lam[high], M_c * r[high]),
+    ]
+    tag = f"{instance}|omega={_omega_tag(idx)}"
+    return (
+        _report("cheeger_sandwich", tag, sandwich),
+        _report("fujiwara_envelope", f"{tag}|vectors={_FUJIWARA_VECTORS}", fujiwara),
+    )
+
+
 def verify_cheeger_sandwich(
     g: DirectedGraph, omega: Iterable[int], instance: str = "graph"
 ) -> TheoremReport:
@@ -252,29 +294,10 @@ def verify_cheeger_sandwich(
         h^2 / 8     <= M nu_m <= M h / 2
         ht^2 / 8    <= nu_t   <= ht / 2
         m ht^2 / 8  <= nu_m
+
+    A call also evaluates the Fujiwara envelope; verify_graph keeps both.
     """
-    idx = subset_array(g, omega)
-    h, ht = (res.value for res in _exact(g, idx))
-    return _sandwich(g, idx, h, ht, instance)
-
-
-def _sandwich(
-    g: DirectedGraph, idx: np.ndarray, h: float, ht: float, instance: str
-) -> TheoremReport:
-    """verify_cheeger_sandwich on a valid subset array with its constants."""
-    nu_m = nu(dirichlet(_assembled(g, "delta"), idx))
-    nu_t = nu(dirichlet(_assembled(g, "normalized_delta"), idx))
-    m_c, M_c = m_M_constants(g, idx)
-    pairs = [
-        (h * h / 8.0, M_c * nu_m),
-        (M_c * nu_m, 0.5 * M_c * h),
-        (ht * ht / 8.0, nu_t),
-        (nu_t, 0.5 * ht),
-        (m_c * ht * ht / 8.0, nu_m),
-    ]
-    return _report(
-        "cheeger_sandwich", f"{instance}|omega={_omega_tag(idx)}", pairs
-    )
+    return _isoperimetric(g, subset_array(g, omega), instance)[0]
 
 
 def verify_fujiwara(
@@ -289,35 +312,10 @@ def verify_fujiwara(
     m r(f) <= 2 Re (A f, f)_m <= M r(f) on 100 random vectors, where
     r(f) = 2 Re (At f, f)_bp / (f, f)_bp compares against the normalized
     restriction At.
+
+    A call also evaluates the Cheeger sandwich; verify_graph keeps both.
     """
-    idx = subset_array(g, omega)
-    return _fujiwara(g, idx, cheeger_exact(g, idx, "beta_plus").value, instance)
-
-
-def _fujiwara(g: DirectedGraph, idx: np.ndarray, ht: float, instance: str) -> TheoremReport:
-    """verify_fujiwara on a valid subset array with its outflow constant."""
-    m_c, M_c = m_M_constants(g, idx)
-    op_m = dirichlet(_assembled(g, "delta"), idx)
-    op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
-    rho, sigma = _hermitian_extremes(op_m)
-    s = float(np.sqrt(max(0.0, 4.0 - ht * ht)))
-    f = _draw(SplitMix64(_FUJIWARA_SEED), _FUJIWARA_VECTORS, idx.size)
-    two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
-    r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
-    # the worst vector of each side; argmin takes the first on ties
-    low = int(np.argmin(two_re_lam - m_c * r))
-    high = int(np.argmin(M_c * r - two_re_lam))
-    pairs = [
-        (m_c * (2.0 - s), 2.0 * rho),
-        (2.0 * sigma, M_c * (2.0 + s)),
-        (m_c * r[low], two_re_lam[low]),
-        (two_re_lam[high], M_c * r[high]),
-    ]
-    return _report(
-        "fujiwara_envelope",
-        f"{instance}|omega={_omega_tag(idx)}|vectors={_FUJIWARA_VECTORS}",
-        pairs,
-    )
+    return _isoperimetric(g, subset_array(g, omega), instance)[1]
 
 
 def verify_ess_bound_consistency(
@@ -367,9 +365,10 @@ def _selected_subsets(g: DirectedGraph, filt: Filtration | None) -> list[tuple[i
 def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     """Run the whole suite on one balanced graph.
 
-    For n <= 9 the subset sweeps are exhaustive (proper subsets for the
-    Dirichlet bounds; subsets of up to 8 vertices for the isoperimetric
-    checks); larger graphs get a deterministic selection of single vertices,
+    For n <= 9 the subset sweeps are exhaustive (proper subsets with a
+    vertex boundary for the Dirichlet bounds, so a union of components is
+    left out; subsets of up to 8 vertices for the isoperimetric checks);
+    larger graphs get a deterministic selection of single vertices,
     filtration levels from vertex 0 and their complements. On a connected
     graph whose filtration has two levels with a non-empty complement, the
     essential-spectrum bounds are checked along it. Every Cheeger constant
@@ -384,19 +383,17 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     connected, _ = connectivity(g)
     filt = build_filtration(g, 0) if connected else None
     if g.n <= _EXHAUSTIVE_LIMIT:
-        dirichlet_subsets = list(_proper_subsets(g.n, g.n - 1))
+        # on a connected graph every proper subset has a vertex boundary
+        proper = _proper_subsets(g.n, g.n - 1)
+        dirichlet_subsets = [o for o in proper if connected or boundaries(g, o)[0]]
         sandwich_subsets = list(_proper_subsets(g.n, min(_SANDWICH_SIZE_CAP, g.n)))
     else:
         dirichlet_subsets = _selected_subsets(g, filt)
         sandwich_subsets = dirichlet_subsets
     for omega in dirichlet_subsets:
         reports.append(verify_dirichlet_bounds(g, omega, name))
-    # both checks of a subset share its two constants, from one network
     for omega in sandwich_subsets:
-        idx = subset_array(g, omega)
-        h, ht = (res.value for res in _exact(g, idx))
-        reports.append(_sandwich(g, idx, h, ht, name))
-        reports.append(_fujiwara(g, idx, ht, name))
+        reports.extend(_isoperimetric(g, subset_array(g, omega), name))
     # every level but the last (the whole graph) has a non-empty complement
     if filt is not None and len(filt.levels) >= 3:
         reports.append(verify_ess_bound_consistency(g, filt, name))

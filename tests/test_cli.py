@@ -9,6 +9,7 @@ import pytest
 import dirlap
 from dirlap import (
     TheoremReport,
+    build_graph,
     gen_cycle,
     gen_layered_heavy,
     gen_random_circulation,
@@ -336,6 +337,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", triangle_file)
         assert code == 1
         assert json.loads(out)[0]["passed"] is False
+
+    def test_disconnected_small_graph_passes(self, tmp_path, capsys):
+        # two disjoint directed triangles; a union of components has no
+        # vertex boundary and gets no Dirichlet bounds report
+        path = tmp_path / "two.json"
+        save_graph(
+            build_graph(
+                [1.0] * 6,
+                [(i, (i + 1) % 3, 1.0) for i in range(3)]
+                + [(3 + i, 3 + (i + 1) % 3, 1.0) for i in range(3)],
+            ),
+            path,
+        )
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        reports = json.loads(out)
+        assert all(r["passed"] for r in reports)
+        bounds = [r["instance"] for r in reports if r["theorem_id"].startswith("dirichlet")]
+        # 2^6 - 2 proper subsets, less the two triangles
+        assert len(bounds) == 2**6 - 2 - 2
+        assert f"{path}|omega={{0,1,2}}" not in bounds
 
     def test_needs_input_or_family(self, capsys):
         code, _, err = run(capsys, "verify")

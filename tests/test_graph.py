@@ -115,6 +115,48 @@ class TestBuildGraph:
         with pytest.raises(IsolatedDirectionError):
             build_graph([1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)])
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            (0, 1.7, 1.0),  # a fractional id is not truncated to 1
+            (0, 1.0, 1.0),  # nor is an integral float taken as an id
+            ("0", 1, 1.0),
+            (True, 1, 1.0),  # Python's bool is an int, but not an id
+            (0, np.float64(1.0), 1.0),
+            (0, 1, "2.5"),
+            (0, 1, True),
+            (0, 1, None),
+        ],
+    )
+    def test_rejects_ids_and_weights_of_other_types(self, edge):
+        # the first edge of a triangle replaced by edge
+        edges = [edge, (1, 2, 1.0), (2, 0, 1.0)]
+        with pytest.raises(SchemaViolationError, match="is not an integer|is not a real number"):
+            build_graph([1.0, 1.0, 1.0], edges)
+
+    @pytest.mark.parametrize("measure", ["1.0", True, None])
+    def test_rejects_measures_of_other_types(self, measure):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+        with pytest.raises(SchemaViolationError, match="measure .* is not a real number"):
+            build_graph([1.0, measure, 1.0], edges)
+
+    def test_reports_the_first_offender(self):
+        edges = [(0, 1, 1.0), (1, "2", 1.0), (2, 0.5, 1.0)]
+        with pytest.raises(SchemaViolationError, match="vertex id '2' is not an integer"):
+            build_graph([1.0, 1.0, 1.0], edges)
+
+    def test_accepts_numpy_scalars(self):
+        ids = np.arange(3)
+        edges = [(ids[i], ids[(i + 1) % 3], np.float32(0.5) * (i + 1)) for i in range(3)]
+        g = build_graph(np.array([1.0, 2.0, 3.0]), edges)
+        ref = build_graph([1.0, 2.0, 3.0], [(0, 1, 0.5), (1, 2, 1.0), (2, 0, 1.5)])
+        assert g.edge_from.tolist() == ref.edge_from.tolist() == [0, 1, 2]
+        assert g.edge_to.tolist() == ref.edge_to.tolist()
+        assert g.edge_weight.tolist() == ref.edge_weight.tolist()
+        assert g.measure.tolist() == ref.measure.tolist()
+        # an integer weight is a real number
+        assert build_graph([1, 1], [(0, 1, 2), (1, 0, 2)]).edge_weight.tolist() == [2.0, 2.0]
+
 
 class TestDegreeSums:
     def test_beta_on_cycle(self):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -389,6 +390,73 @@ class TestVerifyGraph:
         sandwich = [r for r in reports if r.theorem_id == "cheeger_sandwich"]
         assert len(solved) == len(set(solved)) == len(sandwich) == 2**6 - 1
         assert {normalizations for _, normalizations in solved} == {NORMALIZATIONS}
+
+    def test_each_subset_is_restricted_and_solved_once(self, monkeypatch):
+        # n = 23: 8 selected subsets. Their sandwich and Fujiwara checks
+        # share m and M, one restriction per operator kind and one solve
+        # per restriction; the Dirichlet bounds restrict and solve the
+        # normalized operator on their own
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                # args is (graph, subset), (operator, subset) or (operator,)
+                subset = tuple(args[1].tolist()) if len(args) == 2 else None
+                calls.append((name, getattr(args[0], "kind", None), subset))
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("dirichlet", "m_M_constants", "nu", "_hermitian_extremes"):
+            monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+        reports = verify_graph(gen_random_circulation(23, 4, seed=4))
+        subsets = [r.instance for r in reports if r.theorem_id == "cheeger_sandwich"]
+        assert len(subsets) == len(set(subsets)) == 8
+        assert Counter(call[:2] for call in calls) == {
+            ("m_M_constants", None): 8,
+            ("dirichlet", "delta"): 8,
+            ("dirichlet", "normalized_delta"): 2 * 8,
+            ("_hermitian_extremes", "dirichlet(delta)"): 8,
+            ("_hermitian_extremes", "dirichlet(normalized_delta)"): 8,
+            ("nu", "dirichlet(normalized_delta)"): 8,
+        }
+        # 8 distinct subsets each time
+        assert len({c for c in calls if c[0] == "m_M_constants"}) == 8
+        assert len({c for c in calls if c[:2] == ("dirichlet", "delta")}) == 8
+
+    @pytest.mark.parametrize("n, k, seed", [(6, 3, 1), (23, 4, 4)])
+    def test_isoperimetric_reports_match_the_public_checks(self, n, k, seed):
+        # and the Fujiwara reports match the per-vector loop, whose outflow
+        # constant comes from cheeger_exact
+        g = gen_random_circulation(n, k, seed)
+        reports = verify_graph(g, "g")
+        for theorem_id, check in (
+            ("cheeger_sandwich", verify_cheeger_sandwich),
+            ("fujiwara_envelope", verify_fujiwara),
+        ):
+            found = [r for r in reports if r.theorem_id == theorem_id]
+            assert found
+            for r in found:
+                omega = [int(v) for v in r.instance.split("{")[1].split("}")[0].split(",")]
+                assert _report_bytes(check(g, omega, "g")) == _report_bytes(r)
+                if theorem_id == "fujiwara_envelope":
+                    assert _report_bytes(loop_verify_fujiwara(g, omega, "g")) == _report_bytes(r)
+
+    def test_disconnected_small_graph(self):
+        # two disjoint triangles: each triangle and the whole graph have no
+        # vertex boundary, so they get no Dirichlet bounds report
+        g = build_graph(
+            [1.0] * 6,
+            [(i, (i + 1) % 3, 1.0) for i in range(3)]
+            + [(3 + i, 3 + (i + 1) % 3, 1.0) for i in range(3)],
+        )
+        reports = verify_graph(g, "two")
+        assert all(r.passed for r in reports)
+        bounds = [r.instance for r in reports if r.theorem_id == "dirichlet_eigenvalue_bounds"]
+        assert len(bounds) == 2**6 - 2 - 2
+        assert "two|omega={0,1,2}" not in bounds and "two|omega={3,4,5}" not in bounds
+        # the isoperimetric checks keep every subset of up to 6 vertices
+        assert [r.theorem_id for r in reports].count("cheeger_sandwich") == 2**6 - 1
 
     def test_instance_names_carry_graph_name(self):
         reports = verify_graph(gen_cycle(3), "tri")
