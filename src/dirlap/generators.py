@@ -68,10 +68,21 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def complex_vector(self, n: int) -> np.ndarray:
-        """Complex vector with re, im uniform in [-1, 1)."""
-        re = np.array([2.0 * self.next_float() - 1.0 for _ in range(n)])
-        im = np.array([2.0 * self.next_float() - 1.0 for _ in range(n)])
-        return re + 1j * im
+        """Complex vector with re, im uniform in [-1, 1): _draw(self, 1, n)[0]."""
+        return _draw(self, 1, n)[0]
+
+
+def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
+    """count random complex vectors of length n, one per row, in draw order.
+
+    Each row takes 2n draws, n real parts then n imaginary parts, each
+    2 next_float() - 1; the rows come from one uint64 block over the
+    count * 2n counter values, so the bits and the final state are those of
+    count complex_vector(n) calls.
+    """
+    u = 2.0 * ((rng.block(count * 2 * n) >> 11) * 2.0**-53) - 1.0
+    re, im = u.reshape(count, 2, n).transpose(1, 0, 2)
+    return re + 1j * im
 
 
 def gen_cycle(n: int, w: float = 1.0) -> DirectedGraph:
@@ -116,13 +127,20 @@ def gen_random_circulation(
     weight draw; each later cycle takes one length draw (2 + u % (n - 1)),
     n - 1 Fisher-Yates draws over a fresh 0..n-1 and one weight draw, and
     keeps the first `length` shuffled vertices. A weight is k/8 for the
-    k-th point of the eighth-integer grid inside weight_range, at least 1/8.
+    k-th point of the eighth-integer grid inside weight_range, at least 1/8;
+    both ends of the range must stay finite when multiplied by 8.
     """
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
     if k_cycles < 1:
         raise InvalidArgumentError("need k_cycles >= 1")
     lo, hi = weight_range
+    try:
+        finite = np.isfinite([8.0 * lo, 8.0 * hi]).all()
+    except OverflowError:  # an integer beyond the largest float
+        finite = False
+    if not finite:
+        raise InvalidArgumentError(f"weight range [{lo}, {hi}] times 8 is not finite")
     k_lo = max(1, int(np.ceil(lo * 8)))
     k_hi = int(np.floor(hi * 8))
     if k_hi < k_lo:

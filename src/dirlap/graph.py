@@ -253,11 +253,11 @@ def _graph_from_columns(
 def check_kirchhoff(g: DirectedGraph, tol: float | None = None) -> KirchhoffReport:
     """Check beta_plus == beta_minus at every vertex.
 
-    tol is an absolute tolerance on |beta_plus - beta_minus|; when omitted
-    it defaults to 1e-9 relative to max beta_plus.
+    tol is an absolute finite tolerance on |beta_plus - beta_minus|; when
+    omitted it defaults to 1e-9 relative to max beta_plus.
     """
-    if tol is not None and tol < 0:
-        raise InvalidArgumentError(f"tol must be >= 0, got {tol}")
+    if tol is not None and not 0 <= tol < np.inf:
+        raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
     diff = np.abs(g.beta_plus - g.beta_minus)
     effective = tol if tol is not None else KIRCHHOFF_DEFAULT_REL_TOL * float(g.beta_plus.max())
     violating = tuple(int(i) for i in np.flatnonzero(diff > effective))
@@ -270,14 +270,23 @@ def check_kirchhoff(g: DirectedGraph, tol: float | None = None) -> KirchhoffRepo
     )
 
 
+def _subset_ids(omega: Iterable[int], n: int | None) -> list[int]:
+    """The distinct members of a vertex subset, sorted.
+
+    Raises EmptySubsetError on an empty subset and, unless n is None,
+    SchemaViolationError on a member outside 0..n-1.
+    """
+    ids = sorted({int(v) for v in omega})
+    if not ids:
+        raise EmptySubsetError("vertex subset is empty")
+    if n is not None and (ids[0] < 0 or ids[-1] >= n):
+        raise SchemaViolationError(f"subset member out of range 0..{n - 1}")
+    return ids
+
+
 def subset_array(g: DirectedGraph, omega: Iterable[int]) -> np.ndarray:
     """Validate a vertex subset and return it as a sorted unique int array."""
-    idx = sorted({int(v) for v in omega})
-    if not idx:
-        raise EmptySubsetError("vertex subset is empty")
-    if idx[0] < 0 or idx[-1] >= g.n:
-        raise SchemaViolationError(f"subset member out of range 0..{g.n - 1}")
-    return np.asarray(idx, dtype=np.int64)
+    return np.asarray(_subset_ids(omega, g.n), dtype=np.int64)
 
 
 def boundaries(

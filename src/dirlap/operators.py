@@ -27,8 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySubsetError, KirchhoffViolatedError, SchemaViolationError
-from .graph import DirectedGraph, check_kirchhoff
+from .errors import KirchhoffViolatedError, SchemaViolationError
+from .graph import DirectedGraph, _subset_ids, check_kirchhoff
 
 KINDS = (
     "delta",
@@ -89,15 +89,10 @@ def dirichlet(op: Operator, omega: Iterable[int]) -> Operator:
     omega is given in original vertex ids; for an already-restricted
     operator it must be a subset of its support.
     """
-    ids = sorted({int(v) for v in omega})
-    if not ids:
-        raise EmptySubsetError("vertex subset is empty")
     if op.support is None:
-        n = op.size
-        if ids[0] < 0 or ids[-1] >= n:
-            raise SchemaViolationError(f"subset member out of range 0..{n - 1}")
-        positions = ids
+        positions = ids = _subset_ids(omega, op.size)
     else:
+        ids = _subset_ids(omega, None)
         lookup = {v: i for i, v in enumerate(op.support)}
         try:
             positions = [lookup[v] for v in ids]
@@ -106,7 +101,7 @@ def dirichlet(op: Operator, omega: Iterable[int]) -> Operator:
                 f"vertex {exc.args[0]} is not in the operator support"
             ) from exc
     pos = np.asarray(positions, dtype=np.int64)
-    M = op.matrix[np.ix_(pos, pos)].copy()
+    M = op.matrix.take(pos, axis=0).take(pos, axis=1)
     M.flags.writeable = False
     return Operator(
         matrix=M,

@@ -10,14 +10,13 @@ stream, so outputs are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyComplementError
-from .generators import SplitMix64, corpus
+from .generators import SplitMix64, _draw, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
     Filtration,
@@ -41,7 +40,6 @@ from .spectral import (
     eig,
     hermitian_part,
     kernel_dimension,
-    nu,
     operator_norm,
 )
 
@@ -117,28 +115,9 @@ def _omega_tag(omega: Iterable[int]) -> str:
     return "{" + ",".join(str(int(v)) for v in sorted(set(omega))) + "}"
 
 
-@lru_cache(maxsize=2)
-def _assembled(g: DirectedGraph, kind: str) -> Operator:
-    """assemble(g, kind), built once per graph and kind while the entry lives.
-
-    The checks use two kinds, "delta" and "normalized_delta", so one graph's
-    operators stay cached while verify_graph runs over it. Every array of an
-    assembled operator is read-only, so the checks share it safely. The
-    graph is hashed by identity and held by the cache, so its id cannot be
-    reused while the entry lives.
-    """
-    return assemble(g, kind)
-
-
-def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
-    """count random complex vectors of length n, one per row, in draw order.
-
-    The same bits as count rng.complex_vector(n) calls, and the same final
-    state, from one uint64 block over the count * 2n counter values.
-    """
-    u = 2.0 * ((rng.block(count * 2 * n) >> 11) * 2.0**-53) - 1.0
-    re, im = u.reshape(count, 2, n).transpose(1, 0, 2)
-    return re + 1j * im
+def _operators(g: DirectedGraph) -> tuple[Operator, Operator]:
+    """The two operators the subset checks restrict: delta and normalized_delta."""
+    return assemble(g, "delta"), assemble(g, "normalized_delta")
 
 
 def verify_green(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
@@ -167,7 +146,11 @@ def verify_bounded(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
     balance, beta_plus is stationary for the random walk I - A, so the Schur
     test bounds its norm in the beta_plus metric by 1.
     """
-    op = _assembled(g, "normalized_delta")
+    return _bounded(g, assemble(g, "normalized_delta"), instance)
+
+
+def _bounded(g: DirectedGraph, op: Operator, instance: str) -> TheoremReport:
+    """verify_bounded on op, the normalized operator of g."""
     walk = Operator(matrix=np.eye(op.size) - op.matrix, metric=op.metric, kind="random_walk")
     pairs = [(operator_norm(op), 2.0), (operator_norm(walk), 1.0)]
     connected, _ = connectivity(g)
@@ -218,11 +201,16 @@ def verify_dirichlet_bounds(
     vertex_boundary, _ = boundaries(g, idx)
     if not vertex_boundary:
         raise ValueError("omega must have a non-empty vertex boundary")
-    op = dirichlet(_assembled(g, "normalized_delta"), idx)
+    op = dirichlet(assemble(g, "normalized_delta"), idx)
+    return _bounds(op, *_hermitian_extremes(op), f"{instance}|omega={_omega_tag(idx)}")
+
+
+def _bounds(op: Operator, s_low: float, s_high: float, tag: str) -> TheoremReport:
+    """verify_dirichlet_bounds on op, a normalized restriction whose
+    Hermitian part has the extreme eigenvalues s_low and s_high."""
     lam = eig(op.matrix).eigenvalues
     re_low = float(lam[0].real)
     re_high = float(lam[-1].real)
-    s_low, s_high = _hermitian_extremes(op)
     tol = _default_tolerance([re_low, re_high, s_low, s_high, 2.0])
     pairs = [
         (STRICT_FLOOR - tol, re_low),  # strict positivity at the 1e-12 floor
@@ -231,30 +219,32 @@ def verify_dirichlet_bounds(
         (s_low, re_low),
         (re_high, 2.0),
     ]
-    return _report(
-        "dirichlet_eigenvalue_bounds",
-        f"{instance}|omega={_omega_tag(idx)}",
-        pairs,
-        tolerance=tol,
-    )
+    return _report("dirichlet_eigenvalue_bounds", tag, pairs, tolerance=tol)
 
 
 def _isoperimetric(
-    g: DirectedGraph, idx: np.ndarray, instance: str
-) -> tuple[TheoremReport, TheoremReport]:
-    """The Cheeger sandwich and the Fujiwara envelope of a valid subset
-    array, in that order, from one computation of the data they share: both
-    constants over one network, m and M, and each Dirichlet restriction.
-    One solve of the plain restriction's Hermitian part gives its extreme
-    eigenvalues: the bottom one is both nu_m and rho, the inf of Re over
-    the numerical range, and the top one is sigma, the sup.
+    g: DirectedGraph,
+    idx: np.ndarray,
+    instance: str,
+    delta: Operator,
+    normalized: Operator,
+    with_bounds: bool = False,
+) -> list[TheoremReport]:
+    """The Dirichlet bounds (if with_bounds), the Cheeger sandwich and the
+    Fujiwara envelope of a valid subset array, in that order, from one
+    computation of the data they share: both constants over one network,
+    m and M, and one restriction of delta and of normalized per subset.
+    One solve of each restriction's Hermitian part gives its extreme
+    eigenvalues: for the plain one, the bottom one is both nu_m and rho,
+    the inf of Re over the numerical range, and the top one is sigma, the
+    sup; for the normalized one, the bottom one is nu_t.
     """
     h, ht = (res.value for res in _exact(g, idx))
     m_c, M_c = m_M_constants(g, idx)
-    op_m = dirichlet(_assembled(g, "delta"), idx)
-    op_t = dirichlet(_assembled(g, "normalized_delta"), idx)
+    op_m = dirichlet(delta, idx)
+    op_t = dirichlet(normalized, idx)
     nu_m, sigma = _hermitian_extremes(op_m)
-    nu_t = nu(op_t)
+    nu_t, top_t = _hermitian_extremes(op_t)
     sandwich = [
         (h * h / 8.0, M_c * nu_m),
         (M_c * nu_m, 0.5 * M_c * h),
@@ -276,10 +266,11 @@ def _isoperimetric(
         (two_re_lam[high], M_c * r[high]),
     ]
     tag = f"{instance}|omega={_omega_tag(idx)}"
-    return (
+    reports = [_bounds(op_t, nu_t, top_t, tag)] if with_bounds else []
+    return reports + [
         _report("cheeger_sandwich", tag, sandwich),
         _report("fujiwara_envelope", f"{tag}|vectors={_FUJIWARA_VECTORS}", fujiwara),
-    )
+    ]
 
 
 def verify_cheeger_sandwich(
@@ -297,7 +288,7 @@ def verify_cheeger_sandwich(
 
     A call also evaluates the Fujiwara envelope; verify_graph keeps both.
     """
-    return _isoperimetric(g, subset_array(g, omega), instance)[0]
+    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g))[0]
 
 
 def verify_fujiwara(
@@ -315,7 +306,7 @@ def verify_fujiwara(
 
     A call also evaluates the Cheeger sandwich; verify_graph keeps both.
     """
-    return _isoperimetric(g, subset_array(g, omega), instance)[1]
+    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g))[1]
 
 
 def verify_ess_bound_consistency(
@@ -365,35 +356,38 @@ def _selected_subsets(g: DirectedGraph, filt: Filtration | None) -> list[tuple[i
 def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     """Run the whole suite on one balanced graph.
 
-    For n <= 9 the subset sweeps are exhaustive (proper subsets with a
-    vertex boundary for the Dirichlet bounds, so a union of components is
-    left out; subsets of up to 8 vertices for the isoperimetric checks);
-    larger graphs get a deterministic selection of single vertices,
-    filtration levels from vertex 0 and their complements. On a connected
-    graph whose filtration has two levels with a non-empty complement, the
-    essential-spectrum bounds are checked along it. Every Cheeger constant
-    is exact, so no subset is left out for its size: on larger graphs the
-    selected levels and complements are checked whatever their size.
+    For n <= 9 the subset sweep is exhaustive over subsets of up to 8
+    vertices; larger graphs get a deterministic selection of single
+    vertices, filtration levels from vertex 0 and their complements. Every
+    subset gets the isoperimetric checks, and each proper one with a vertex
+    boundary the Dirichlet bounds (so a union of components is left out);
+    all bounds reports come first. On a connected graph whose filtration
+    has two levels with a non-empty complement, the essential-spectrum
+    bounds are checked along it. Every Cheeger constant is exact, so no
+    subset is left out for its size: on larger graphs the selected levels
+    and complements are checked whatever their size.
     """
+    delta, normalized = _operators(g)
     reports = [
         verify_green(g, name),
-        verify_bounded(g, name),
-        verify_kyfan(to_euclidean(_assembled(g, "normalized_delta")), f"{name}|normalized_delta"),
+        _bounded(g, normalized, name),
+        verify_kyfan(to_euclidean(normalized), f"{name}|normalized_delta"),
     ]
     connected, _ = connectivity(g)
     filt = build_filtration(g, 0) if connected else None
     if g.n <= _EXHAUSTIVE_LIMIT:
-        # on a connected graph every proper subset has a vertex boundary
-        proper = _proper_subsets(g.n, g.n - 1)
-        dirichlet_subsets = [o for o in proper if connected or boundaries(g, o)[0]]
-        sandwich_subsets = list(_proper_subsets(g.n, min(_SANDWICH_SIZE_CAP, g.n)))
+        subsets = _proper_subsets(g.n, min(_SANDWICH_SIZE_CAP, g.n))
     else:
-        dirichlet_subsets = _selected_subsets(g, filt)
-        sandwich_subsets = dirichlet_subsets
-    for omega in dirichlet_subsets:
-        reports.append(verify_dirichlet_bounds(g, omega, name))
-    for omega in sandwich_subsets:
-        reports.extend(_isoperimetric(g, subset_array(g, omega), name))
+        subsets = _selected_subsets(g, filt)
+    bounds, isoperimetric = [], []
+    for omega in subsets:
+        idx = subset_array(g, omega)
+        # on a connected graph every proper subset has a vertex boundary
+        with_bounds = idx.size < g.n and (connected or bool(boundaries(g, idx)[0]))
+        *head, sandwich, fujiwara = _isoperimetric(g, idx, name, delta, normalized, with_bounds)
+        bounds += head
+        isoperimetric += [sandwich, fujiwara]
+    reports += bounds + isoperimetric
     # every level but the last (the whole graph) has a non-empty complement
     if filt is not None and len(filt.levels) >= 3:
         reports.append(verify_ess_bound_consistency(g, filt, name))

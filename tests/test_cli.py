@@ -536,13 +536,20 @@ class TestErrorPaths:
             ("gen", "cycle", "--n", "1", "--out", "{out}"),
             ("gen", "circulation", "--n", "1", "--cycles", "1", "--seed", "0", "--out", "{out}"),
             ("gen", "circulation", "--n", "5", "--wmin", "0.3", "--wmax", "0.32", "--out", "{out}"),
+            ("gen", "circulation", "--n", "5", "--wmin", "nan", "--out", "{out}"),
+            ("gen", "circulation", "--n", "5", "--wmax", "inf", "--out", "{out}"),
+            ("gen", "circulation", "--n", "5", "--wmin", "1e308", "--out", "{out}"),
             ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
             ("infinity", "{graph}", "--root", "99"),
             ("check", "{graph}", "--tol", "-1"),
+            ("check", "{graph}", "--tol", "nan"),
+            ("check", "{graph}", "--tol", "inf"),
         ],
         ids=[
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
-            "circulation-empty-weight-range", "layered-0", "infinity-root", "check-tol",
+            "circulation-empty-weight-range", "circulation-wmin-nan", "circulation-wmax-inf",
+            "circulation-weight-overflow", "layered-0", "infinity-root", "check-tol",
+            "check-tol-nan", "check-tol-inf",
         ],
     )
     def test_invalid_argument(self, triangle_file, tmp_path, capsys, argv):

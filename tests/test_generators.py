@@ -142,6 +142,14 @@ class TestRandomCirculation:
         with pytest.raises(InvalidArgumentError, match=message):
             gen_random_circulation(5, 2, seed=0, weight_range=(0.3, 0.32))
 
+    @pytest.mark.parametrize(
+        "weight_range",
+        [(np.nan, 4.0), (0.25, np.nan), (0.25, np.inf), (-np.inf, 4.0), (1e308, 4.0), (1, 2**1100)],
+    )
+    def test_non_finite_weight_range(self, weight_range):
+        with pytest.raises(InvalidArgumentError, match=r"times 8 is not finite$"):
+            gen_random_circulation(5, 2, seed=0, weight_range=weight_range)
+
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("n", [3, 4, 9, 23, 100, 300])
     def test_matches_scalar_loop(self, n, seed):

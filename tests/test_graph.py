@@ -13,6 +13,7 @@ from dirlap import (
     DuplicateEdgeError,
     EmptySubsetError,
     InputParseError,
+    InvalidArgumentError,
     IsolatedDirectionError,
     NonPositiveMeasureError,
     NonPositiveWeightError,
@@ -203,6 +204,11 @@ class TestKirchhoff:
         g = build_graph([1.0, 1.0], [(0, 1, 1000.0), (1, 0, 1000.0 + 1e-9)])
         assert check_kirchhoff(g).satisfied
         assert not check_kirchhoff(g, tol=1e-12).satisfied
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_and_non_finite_tol(self, tol):
+        with pytest.raises(InvalidArgumentError, match="^tol must be finite and >= 0"):
+            check_kirchhoff(triangle(), tol=tol)
 
     def test_report_json_shape(self):
         obj = check_kirchhoff(triangle()).to_json_obj()

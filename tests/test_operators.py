@@ -21,6 +21,7 @@ from dirlap import (
     operator_to_csv_text,
     operator_to_json_obj,
     quadratic_form,
+    subset_array,
     to_euclidean,
 )
 from dirlap.operators import _green_terms
@@ -145,6 +146,19 @@ class TestDirichlet:
             dirichlet(op, [])
         with pytest.raises(SchemaViolationError):
             dirichlet(op, [3])
+
+    @pytest.mark.parametrize("omega", [[], [3], [-1, 0]])
+    def test_rejects_as_subset_array_does(self, omega):
+        g = gen_cycle(3)
+        with pytest.raises((EmptySubsetError, SchemaViolationError)) as want:
+            subset_array(g, omega)
+        with pytest.raises(type(want.value)) as got:
+            dirichlet(assemble(g, "delta"), omega)
+        assert str(got.value) == str(want.value)
+        # a restricted operator rejects an empty subset the same way
+        if not omega:
+            with pytest.raises(EmptySubsetError, match="^vertex subset is empty$"):
+                dirichlet(dirichlet(assemble(g, "delta"), [0, 1]), omega)
 
 
 class TestEuclideanConjugation:

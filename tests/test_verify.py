@@ -39,8 +39,9 @@ from dirlap import (
     verify_kyfan,
 )
 from dirlap import verify
-from dirlap.verify import _GREEN_SEED, _draw, _report
-from util import loop_verify_fujiwara, loop_verify_green, pi_circulation
+from dirlap.generators import _draw
+from dirlap.verify import _GREEN_SEED, _report
+from util import loop_complex_vector, loop_verify_fujiwara, loop_verify_green, pi_circulation
 
 
 class TestReportSemantics:
@@ -150,12 +151,15 @@ class TestBlockDraw:
                     warnings.simplefilter("error")
                     drawn = _draw(block, count, n)
                 expected = np.array(
-                    [scalar.complex_vector(n) for _ in range(count)], dtype=complex
+                    [loop_complex_vector(scalar, n) for _ in range(count)], dtype=complex
                 ).reshape(count, n)
                 assert drawn.shape == expected.shape
                 assert drawn.tobytes() == expected.tobytes()
                 assert block._x == scalar._x
                 assert block.next_u64() == scalar.next_u64()
+                # complex_vector is one row of the block draw
+                one = SplitMix64(seed).complex_vector(n)
+                assert one.tobytes() == loop_complex_vector(SplitMix64(seed), n).tobytes()
 
 
 class TestBounded:
@@ -392,10 +396,10 @@ class TestVerifyGraph:
         assert {normalizations for _, normalizations in solved} == {NORMALIZATIONS}
 
     def test_each_subset_is_restricted_and_solved_once(self, monkeypatch):
-        # n = 23: 8 selected subsets. Their sandwich and Fujiwara checks
-        # share m and M, one restriction per operator kind and one solve
-        # per restriction; the Dirichlet bounds restrict and solve the
-        # normalized operator on their own
+        # n = 23: 8 selected subsets. Their Dirichlet bounds, sandwich and
+        # Fujiwara checks share m and M, one restriction per operator kind
+        # and one solve per restriction; the general eigensolve runs once
+        # per bounds report and once for Ky Fan
         calls = []
 
         def counting(name, fn):
@@ -407,22 +411,28 @@ class TestVerifyGraph:
 
             return wrapper
 
-        for name in ("dirichlet", "m_M_constants", "nu", "_hermitian_extremes"):
+        assert not hasattr(verify, "nu")
+        for name in ("dirichlet", "m_M_constants", "_hermitian_extremes", "eig"):
             monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
         reports = verify_graph(gen_random_circulation(23, 4, seed=4))
-        subsets = [r.instance for r in reports if r.theorem_id == "cheeger_sandwich"]
-        assert len(subsets) == len(set(subsets)) == 8
+        for theorem_id in ("dirichlet_eigenvalue_bounds", "cheeger_sandwich"):
+            subsets = [r.instance for r in reports if r.theorem_id == theorem_id]
+            assert len(subsets) == len(set(subsets)) == 8
         assert Counter(call[:2] for call in calls) == {
             ("m_M_constants", None): 8,
             ("dirichlet", "delta"): 8,
-            ("dirichlet", "normalized_delta"): 2 * 8,
+            ("dirichlet", "normalized_delta"): 8,
             ("_hermitian_extremes", "dirichlet(delta)"): 8,
             ("_hermitian_extremes", "dirichlet(normalized_delta)"): 8,
-            ("nu", "dirichlet(normalized_delta)"): 8,
+            ("eig", None): 8 + 1,
         }
         # 8 distinct subsets each time
-        assert len({c for c in calls if c[0] == "m_M_constants"}) == 8
-        assert len({c for c in calls if c[:2] == ("dirichlet", "delta")}) == 8
+        for key in (
+            ("m_M_constants", None),
+            ("dirichlet", "delta"),
+            ("dirichlet", "normalized_delta"),
+        ):
+            assert len({c for c in calls if c[:2] == key}) == 8
 
     @pytest.mark.parametrize("n, k, seed", [(6, 3, 1), (23, 4, 4)])
     def test_isoperimetric_reports_match_the_public_checks(self, n, k, seed):
@@ -431,6 +441,7 @@ class TestVerifyGraph:
         g = gen_random_circulation(n, k, seed)
         reports = verify_graph(g, "g")
         for theorem_id, check in (
+            ("dirichlet_eigenvalue_bounds", verify_dirichlet_bounds),
             ("cheeger_sandwich", verify_cheeger_sandwich),
             ("fujiwara_envelope", verify_fujiwara),
         ):
@@ -464,26 +475,29 @@ class TestVerifyGraph:
 
     def test_each_operator_kind_is_assembled_once(self, monkeypatch):
         # n = 23: 8 selected subsets, each checked by the Dirichlet bounds,
-        # the sandwich and Fujiwara; every check used to assemble its own
+        # the sandwich and Fujiwara; each call assembles its two operators
+        # and keeps nothing for the next
         g = gen_random_circulation(23, 4, seed=4)
         other = gen_cycle(5)
         built = []
 
         def counting(h, kind):
-            built.append((h, kind))
-            return assemble(h, kind)
+            op = assemble(h, kind)
+            built.append((h, kind, op))
+            return op
 
         monkeypatch.setattr(verify, "assemble", counting)
         verify_graph(g)
         verify_graph(other)
         verify_graph(g)
-        assert [(h is g, kind) for h, kind in built] == [
-            (True, "normalized_delta"),
+        assert [(h is g, kind) for h, kind, _ in built] == [
             (True, "delta"),
-            (False, "normalized_delta"),
+            (True, "normalized_delta"),
             (False, "delta"),
-            (True, "normalized_delta"),
+            (False, "normalized_delta"),
             (True, "delta"),
+            (True, "normalized_delta"),
         ]
-        op = verify._assembled(g, "delta")
-        assert not op.matrix.flags.writeable and not op.metric.flags.writeable
+        # the subsets share each operator, so none of its arrays is writable
+        for _, _, op in built:
+            assert not op.matrix.flags.writeable and not op.metric.flags.writeable

@@ -210,6 +210,14 @@ def pi_circulation(n, seed):
     return build_graph(measures, [(u, v, w * math.pi) for u, v, w in base.edges()])
 
 
+def loop_complex_vector(rng, n):
+    """Reference SplitMix64.complex_vector: n real parts, then n imaginary
+    parts, one next_float() at a time, each mapped to 2 u - 1."""
+    re = np.array([2.0 * rng.next_float() - 1.0 for _ in range(n)])
+    im = np.array([2.0 * rng.next_float() - 1.0 for _ in range(n)])
+    return re + 1j * im
+
+
 def _loop_inner(metric, f, h):
     return complex(np.sum(metric * np.asarray(f) * np.conj(h)))
 
@@ -222,8 +230,8 @@ def loop_verify_green(g, instance="graph", n_pairs=100):
     delta = assemble(g, "delta").matrix
     worst = 0.0
     for _ in range(n_pairs):
-        f = rng.complex_vector(g.n)
-        h = rng.complex_vector(g.n)
+        f = loop_complex_vector(rng, g.n)
+        h = loop_complex_vector(rng, g.n)
         t1 = _loop_inner(g.measure, delta @ f, h)
         t2 = np.conj(_loop_inner(g.measure, delta @ h, f))
         df = f[g.edge_from] - f[g.edge_to]
@@ -253,7 +261,7 @@ def loop_verify_fujiwara(g, omega, instance="graph", n_vectors=100):
     rng = SplitMix64(_FUJIWARA_SEED)
     worst_low = worst_high = None
     for _ in range(n_vectors):
-        f = rng.complex_vector(idx.size)
+        f = loop_complex_vector(rng, idx.size)
         norm_m = _loop_inner(op_m.metric, f, f).real
         two_re_lam = 2.0 * _loop_inner(op_m.metric, op_m.matrix @ f, f).real / norm_m
         norm_t = _loop_inner(op_t.metric, f, f).real
