@@ -1,10 +1,13 @@
-"""Small file helpers: JSON reading, atomic writes and canonical JSON dumping."""
+"""File helpers: reading, atomic writes, and the one place that turns
+values into output text (canonical JSON and CSV)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
+from numbers import Integral
 
 from .errors import InputParseError
 
@@ -46,5 +49,20 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, 2-space indent, trailing newline.
+    A dataclass is written as the object of its fields."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=dataclasses.asdict) + "\n"
+
+
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, Integral):
+        return str(int(x))
+    return repr(float(x))
+
+
+def dump_csv(rows) -> str:
+    """CSV text, one line per row: a string cell as is, an integer in
+    decimal and any other number as its shortest round-trip float."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
-from ._io import dump_json, read_json, read_text, write_text_atomic
+from ._io import dump_csv, dump_json, read_json, read_text, write_text_atomic
 from .errors import DirlapError, InputParseError, InvalidArgumentError
 from .generators import (
     gen_cycle,
@@ -50,10 +51,6 @@ _OP_CHOICES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -83,7 +80,8 @@ def _resolve_operator(args):
     """Build the operator a spectrum/numrange invocation refers to: the --op
     operator of a graph file (delta when --op is not given), or an exported
     operator file as is (CSV unless the name ends in .json, as
-    --dump-operator writes it), whose kind an explicit --op must match."""
+    --dump-operator writes it), whose kind an explicit --op must match.
+    Exports it when --dump-operator is given."""
     kind = None if args.op is None else _OP_CHOICES[args.op]
     if not args.input.endswith(".json"):
         op = operator_from_csv_text(read_text(args.input))
@@ -100,6 +98,10 @@ def _resolve_operator(args):
     omega = _parse_omega(args)
     if omega is not None:
         op = dirichlet(op, omega)
+    path = args.dump_operator
+    if path:
+        write_text_atomic(path, dump_json(operator_to_json_obj(op)) if path.endswith(".json")
+                          else operator_to_csv_text(op))
     return op
 
 
@@ -123,40 +125,20 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     g = load_graph(args.input)
     report = check_kirchhoff(g, args.tol)
-    _emit(dump_json(report.to_json_obj()), args.out)
+    _emit(dump_json(report), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    op = _resolve_operator(args)
-    if args.dump_operator:
-        _dump_operator(op, args.dump_operator)
-    values = eig(op.matrix).eigenvalues
-    lines = ["re,im"]
-    lines += [f"{_fmt(v.real)},{_fmt(v.imag)}" for v in values]
-    _emit("\n".join(lines) + "\n", args.out)
+    values = eig(_resolve_operator(args).matrix).eigenvalues
+    _emit(dump_csv([("re", "im"), *zip(values.real, values.imag)]), args.out)
     return 0
 
 
 def _cmd_numrange(args) -> int:
-    op = _resolve_operator(args)
-    if args.dump_operator:
-        _dump_operator(op, args.dump_operator)
-    boundary = numerical_range_boundary(op, args.angles)
-    lines = ["theta,re,im"]
-    lines += [
-        f"{_fmt(t)},{_fmt(p.real)},{_fmt(p.imag)}"
-        for t, p in zip(boundary.angles, boundary.points)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    b = numerical_range_boundary(_resolve_operator(args), args.angles)
+    _emit(dump_csv([("theta", "re", "im"), *zip(b.angles, b.points.real, b.points.imag)]), args.out)
     return 0
-
-
-def _dump_operator(op, path: str) -> None:
-    if path.endswith(".json"):
-        write_text_atomic(path, dump_json(operator_to_json_obj(op)))
-    else:
-        write_text_atomic(path, operator_to_csv_text(op))
 
 
 def _cmd_cheeger(args) -> int:
@@ -166,37 +148,32 @@ def _cmd_cheeger(args) -> int:
         omega = list(range(g.n))
     solve = {"exact": cheeger_exact, "heuristic": cheeger_heuristic}[args.mode]
     result = solve(g, omega, args.normalization)
-    _emit(dump_json(result.to_json_obj()), args.out)
+    _emit(dump_json(result), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.family is not None:
-        if args.family != "corpus":
-            raise InputParseError(f"unknown family {args.family!r}, expected 'corpus'")
+    if (args.input is None) == (args.family is None):
+        raise InputParseError("verify needs exactly one of a graph file and --family corpus")
+    if args.family is None:
+        reports = verify_graph(load_graph(args.input), args.input)
+    elif args.family == "corpus":
         reports = verify_corpus()
     else:
-        if args.input is None:
-            raise InputParseError("verify needs a graph file or --family corpus")
-        g = load_graph(args.input)
-        reports = verify_graph(g, args.input)
-    _emit(dump_json([r.to_json_obj() for r in reports]), args.out)
+        raise InputParseError(f"unknown family {args.family!r}, expected 'corpus'")
+    _emit(dump_json(reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
-# the LevelProfile fields of the infinity CSV, in column order after level
-_PROFILE_FIELDS = ("m_c", "M_c", "h_c", "h_tilde_c", "nu_dirichlet", "ess_lower_bound")
+# the LevelProfile fields of the infinity CSV, in column order
+_LEVEL_CSV = ("level", "m_c", "M_c", "h_c", "h_tilde_c", "nu_dirichlet", "ess_lower_bound")
 
 
 def _cmd_infinity(args) -> int:
     g = load_graph(args.input)
     profile = infinity_profile(g, build_filtration(g, args.root))
-    lines = [",".join(("level",) + _PROFILE_FIELDS)]
-    lines += [
-        ",".join([str(row.level)] + [_fmt(getattr(row, field)) for field in _PROFILE_FIELDS])
-        for row in profile.levels
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = map(attrgetter(*_LEVEL_CSV), profile.levels)
+    _emit(dump_csv([_LEVEL_CSV, *rows]), args.out)
     return 0
 
 

@@ -177,6 +177,12 @@ def gen_random_circulation(
     return _graph_from_columns(np.ones(n), ef.tolist(), et.tolist(), total[ef, et].tolist())
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
+
+
 def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> DirectedGraph:
     """L concentric layers of directed cycles with geometrically growing weight.
 
@@ -189,8 +195,7 @@ def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> 
     """
     if L < 1 or width < 2:
         raise InvalidArgumentError("need L >= 1 and width >= 2")
-    if gamma <= 0 or radial <= 0:
-        raise InvalidArgumentError("gamma and radial must be > 0")
+    _check_positive(gamma=gamma, radial=radial)
     edges: list[tuple[int, int, float]] = []
 
     def vid(layer: int, j: int) -> int:
@@ -218,8 +223,7 @@ def gen_symmetric_tree(depth: int, branching: int, weight_growth: float = 1.0) -
     """
     if depth < 1 or branching < 1:
         raise InvalidArgumentError("need depth >= 1 and branching >= 1")
-    if weight_growth <= 0:
-        raise InvalidArgumentError("weight_growth must be > 0")
+    _check_positive(weight_growth=weight_growth)
     edges: list[tuple[int, int, float]] = []
     level = [0]
     next_id = 1

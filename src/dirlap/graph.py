@@ -129,14 +129,6 @@ class KirchhoffReport:
     violating_vertices: tuple[int, ...]
     tolerance: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "max_violation": self.max_violation,
-            "violating_vertices": list(self.violating_vertices),
-            "tolerance": self.tolerance,
-        }
-
 
 def build_graph(
     measures: Sequence[float], edges: Iterable[tuple[int, int, float]]

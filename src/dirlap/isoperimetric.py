@@ -67,18 +67,10 @@ class CheegerResult:
     mode: str
     normalization: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": list(self.witness),
-            "mode": self.mode,
-            "normalization": self.normalization,
-        }
-
 
 def _denominator_values(g: DirectedGraph, normalization: str) -> np.ndarray:
     if normalization not in NORMALIZATIONS:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"unknown normalization {normalization!r}, expected one of {NORMALIZATIONS}"
         )
     return g.measure if normalization == "measure" else g.beta_plus
@@ -398,7 +390,7 @@ def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
     are skipped; at least one usable level must remain.
     """
     if len(filt.levels) < 2:
-        raise ValueError("filtration needs at least 2 levels")
+        raise InvalidArgumentError("filtration needs at least 2 levels")
     delta = assemble(g, "delta")
     all_ids = frozenset(range(g.n))
     rows: list[LevelProfile] = []

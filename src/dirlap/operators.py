@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import KirchhoffViolatedError, SchemaViolationError
+from ._io import dump_csv
+from .errors import InvalidArgumentError, KirchhoffViolatedError, SchemaViolationError
 from .graph import DirectedGraph, _subset_ids, check_kirchhoff
 
 KINDS = (
@@ -68,7 +69,7 @@ class Operator:
 def assemble(g: DirectedGraph, kind: str) -> Operator:
     """Assemble one of the six operator kinds for a graph."""
     if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}, expected one of {KINDS}")
+        raise InvalidArgumentError(f"unknown operator kind {kind!r}, expected one of {KINDS}")
     B = g.weight_matrix
     w = g.beta_plus if kind.startswith("normalized_") else g.measure
     diag = np.diag(g.beta_plus / w)
@@ -185,7 +186,7 @@ def quadratic_form(op: Operator, f: np.ndarray) -> float | np.ndarray:
     sum_edges b(x,y) |f(x)-f(y)|^2, hence is nonnegative.
     """
     if op.base_kind() not in ("delta", "normalized_delta"):
-        raise ValueError(f"quadratic_form expects a delta kind, got {op.kind!r}")
+        raise InvalidArgumentError(f"quadratic_form expects a delta kind, got {op.kind!r}")
     f = np.asarray(f, dtype=complex)
     return 2.0 * metric_inner(op.metric, _matvec(op.matrix, f), f).real
 
@@ -205,10 +206,12 @@ def operator_from_json_obj(obj) -> Operator:
     try:
         matrix = np.asarray(obj["matrix"], dtype=float)
         metric = np.asarray(obj["metric"], dtype=float)
-        kind = str(obj["kind"])
+        kind = obj["kind"]
         support = obj.get("support")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolationError(f"bad operator JSON: {exc}") from exc
+    if not isinstance(kind, str):
+        raise SchemaViolationError("operator kind must be a string")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise SchemaViolationError("operator matrix must be square")
     if metric.shape != (matrix.shape[0],):
@@ -235,12 +238,10 @@ def operator_from_json_obj(obj) -> Operator:
 
 
 def operator_to_csv_text(op: Operator) -> str:
-    """Row-major CSV with two header lines: kind and metric."""
-    lines = ["kind," + op.kind]
-    lines.append("metric," + ",".join(repr(float(x)) for x in op.metric))
-    for row in op.matrix:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    """Row-major CSV after the header lines kind, metric and, for a
+    restriction only, support."""
+    support = [] if op.support is None else [("support", *op.support)]
+    return dump_csv([("kind", op.kind), ("metric", *op.metric), *support, *op.matrix.tolist()])
 
 
 def operator_from_csv_text(text: str) -> Operator:
@@ -248,11 +249,11 @@ def operator_from_csv_text(text: str) -> Operator:
     if len(lines) < 3 or not lines[0].startswith("kind,") or not lines[1].startswith("metric,"):
         raise SchemaViolationError("operator CSV needs 'kind,...' and 'metric,...' header lines")
     kind = lines[0].split(",", 1)[1]
+    support = lines.pop(2).split(",")[1:] if lines[2].startswith("support,") else None
     try:
         metric = np.asarray([float(x) for x in lines[1].split(",")[1:]], dtype=float)
         matrix = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[2:]], dtype=float)
+        support = None if support is None else [int(v) for v in support]
     except ValueError as exc:
         raise SchemaViolationError(f"bad operator CSV: {exc}") from exc
-    return operator_from_json_obj(
-        {"kind": kind, "metric": metric.tolist(), "matrix": matrix.tolist(), "support": None}
-    )
+    return operator_from_json_obj(dict(kind=kind, metric=metric, matrix=matrix, support=support))

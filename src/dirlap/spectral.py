@@ -72,7 +72,7 @@ def eig(matrix: np.ndarray) -> Spectrum:
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+        raise InvalidArgumentError("matrix must be square")
     with converging():
         if _is_hermitian(a):
             vals = np.linalg.eigvalsh(a).astype(complex)

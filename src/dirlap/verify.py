@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyComplementError
+from .errors import EmptyComplementError, InvalidArgumentError
 from .generators import SplitMix64, _draw, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
@@ -71,17 +71,6 @@ class TheoremReport:
     margin: float
     passed: bool
     tolerance: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "margin": self.margin,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
 
 
 def _default_tolerance(values: Iterable[float]) -> float:
@@ -197,10 +186,10 @@ def verify_dirichlet_bounds(
     """
     idx = subset_array(g, omega)
     if idx.size >= g.n:
-        raise ValueError("omega must be a proper subset")
+        raise InvalidArgumentError("omega must be a proper subset")
     vertex_boundary, _ = boundaries(g, idx)
     if not vertex_boundary:
-        raise ValueError("omega must have a non-empty vertex boundary")
+        raise InvalidArgumentError("omega must have a non-empty vertex boundary")
     op = dirichlet(assemble(g, "normalized_delta"), idx)
     return _bounds(op, *_hermitian_extremes(op), f"{instance}|omega={_omega_tag(idx)}")
 

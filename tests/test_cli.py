@@ -369,6 +369,11 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_graph_file_and_family_exclude_each_other(self, triangle_file, capsys):
+        code, out, err = run(capsys, "verify", triangle_file, "--family", "corpus")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestInfinity:
     def test_profile_csv(self, tmp_path, capsys):
@@ -509,6 +514,29 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "support" in err
 
+    @pytest.mark.parametrize("kind", [None, 3, ["delta"]])
+    def test_operator_kind_must_be_a_string(self, tmp_path, capsys, kind):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(
+            {"kind": kind, "metric": [1.0, 1.0], "matrix": [[1.0, -1.0], [-1.0, 1.0]]}
+        ))
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "kind" in err
+
+    @pytest.mark.parametrize("omega", ["[0]", "[3]", "[4,5]", "[1]"])
+    def test_restricted_export_reads_alike_from_csv_and_json(self, tmp_path, capsys, omega):
+        graph = tmp_path / "c.json"
+        save_graph(gen_cycle(6), graph)
+        results = []
+        for name in ("op.csv", "op.json"):
+            dumped = str(tmp_path / name)
+            code, _, _ = run(capsys, "spectrum", str(graph), "--omega", "[3,4,5]",
+                             "--dump-operator", dumped)
+            assert code == 0
+            results.append(run(capsys, "spectrum", dumped, "--omega", omega))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("command", ["cheeger", "spectrum"])
     def test_omega_and_omega_file_exclude_each_other(
         self, triangle_file, tmp_path, capsys, command
@@ -540,6 +568,8 @@ class TestErrorPaths:
             ("gen", "circulation", "--n", "5", "--wmax", "inf", "--out", "{out}"),
             ("gen", "circulation", "--n", "5", "--wmin", "1e308", "--out", "{out}"),
             ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
+            ("gen", "layered", "--layers", "1", "--width", "3", "--gamma", "nan", "--out", "{out}"),
+            ("gen", "tree", "--depth", "2", "--branching", "1", "--growth", "nan", "--out", "{out}"),
             ("infinity", "{graph}", "--root", "99"),
             ("check", "{graph}", "--tol", "-1"),
             ("check", "{graph}", "--tol", "nan"),
@@ -548,7 +578,8 @@ class TestErrorPaths:
         ids=[
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
             "circulation-empty-weight-range", "circulation-wmin-nan", "circulation-wmax-inf",
-            "circulation-weight-overflow", "layered-0", "infinity-root", "check-tol",
+            "circulation-weight-overflow", "layered-0", "layered-gamma-nan", "tree-growth-nan",
+            "infinity-root", "check-tol",
             "check-tol-nan", "check-tol-inf",
         ],
     )

@@ -187,6 +187,13 @@ class TestLayeredHeavy:
         g = gen_layered_heavy(4, 3, gamma=1.0)
         assert set(g.edge_weight.tolist()) == {1.0}
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["gamma", "radial"])
+    def test_rejects_non_positive_and_non_finite(self, name, value):
+        kwargs = {"gamma": 2.0, "radial": 1.0, name: value}
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite and > 0"):
+            gen_layered_heavy(1, 3, **kwargs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_layered_heavy(0, 3, 2.0)
@@ -211,6 +218,11 @@ class TestSymmetricTree:
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_symmetric_tree(0, 2)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_non_positive_and_non_finite_growth(self, value):
+        with pytest.raises(InvalidArgumentError, match="^weight_growth must be finite and > 0"):
+            gen_symmetric_tree(2, 1, value)
 
 
 class TestCorpus:

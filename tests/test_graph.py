@@ -211,7 +211,7 @@ class TestKirchhoff:
             check_kirchhoff(triangle(), tol=tol)
 
     def test_report_json_shape(self):
-        obj = check_kirchhoff(triangle()).to_json_obj()
+        obj = json.loads(dump_json(check_kirchhoff(triangle())))
         assert obj["satisfied"] is True
         assert set(obj) == {"satisfied", "max_violation", "violating_vertices", "tolerance"}
 

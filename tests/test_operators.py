@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import pi_circulation, spectra_mismatch
 
 from dirlap import (
@@ -310,6 +312,29 @@ class TestSerialization:
         assert np.array_equal(back.matrix, op.matrix)
         assert np.array_equal(back.metric, op.metric)
         assert back.kind == "delta"
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**16), kind=st.sampled_from(KINDS),
+           data=st.data())
+    def test_csv_and_json_round_trips(self, n, seed, kind, data):
+        op = assemble(pi_circulation(n, seed), kind)
+        omega = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
+        if omega is not None:
+            op = dirichlet(op, omega)
+        for back in (
+            operator_from_csv_text(operator_to_csv_text(op)),
+            operator_from_json_obj(operator_to_json_obj(op)),
+        ):
+            assert back.matrix.shape == op.matrix.shape
+            assert back.matrix.tobytes() == op.matrix.tobytes()
+            assert back.metric.tobytes() == op.metric.tobytes()
+            assert (back.kind, back.support) == (op.kind, op.support)
+
+    def test_csv_support_line_only_for_a_restriction(self):
+        op = assemble(gen_cycle(4), "delta")
+        assert "support" not in operator_to_csv_text(op)
+        lines = operator_to_csv_text(dirichlet(op, [1, 3])).splitlines()
+        assert lines[:3] == ["kind,dirichlet(delta)", "metric,1.0,1.0", "support,1,3"]
 
     def test_csv_floats_survive_exactly(self):
         g = build_graph([1.0, 3.0], [(0, 1, 1.0 / 3.0), (1, 0, 1.0 / 3.0)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dirlap import (
     NORMALIZATIONS,
+    DirlapError,
     EmptyComplementError,
     Filtration,
     KirchhoffViolatedError,
@@ -19,14 +20,18 @@ from dirlap import (
     assemble,
     build_filtration,
     build_graph,
+    cheeger_exact,
     dirichlet,
+    eig,
     gen_cycle,
     gen_layered_heavy,
     gen_opposing_cycles,
     gen_random_circulation,
+    infinity_profile,
     nu,
     numerical_range_boundary,
     operator_norm,
+    quadratic_form,
     subset_array,
     to_euclidean,
     verify_bounded,
@@ -39,6 +44,7 @@ from dirlap import (
     verify_kyfan,
 )
 from dirlap import verify
+from dirlap._io import dump_json
 from dirlap.generators import _draw
 from dirlap.verify import _GREEN_SEED, _report
 from util import loop_complex_vector, loop_verify_fujiwara, loop_verify_green, pi_circulation
@@ -66,7 +72,7 @@ class TestReportSemantics:
 
     def test_json_obj_round_trips(self):
         r = _report("t", "inst", [(0.0, 1.0)])
-        obj = json.loads(json.dumps(r.to_json_obj()))
+        obj = json.loads(dump_json(r))
         assert obj["theorem_id"] == "t"
         assert obj["instance"] == "inst"
         assert obj["lhs"] == [0.0] and obj["rhs"] == [1.0]
@@ -114,7 +120,7 @@ class TestGreen:
 
 
 def _report_bytes(report):
-    return json.dumps(report.to_json_obj())
+    return dump_json(report)
 
 
 class TestStackedChecksMatchLoops:
@@ -501,3 +507,27 @@ class TestVerifyGraph:
         # the subsets share each operator, so none of its arrays is writable
         for _, _, op in built:
             assert not op.matrix.flags.writeable and not op.metric.flags.writeable
+
+
+_TWO_PAIRS = build_graph([1.0] * 4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "reject",
+    [
+        lambda: cheeger_exact(gen_cycle(3), [0], "volume"),
+        lambda: infinity_profile(gen_cycle(3), Filtration(root=0, levels=((0, 1, 2),))),
+        lambda: verify_dirichlet_bounds(gen_cycle(3), [0, 1, 2]),
+        lambda: verify_dirichlet_bounds(_TWO_PAIRS, [0, 1]),
+        lambda: eig(np.zeros((2, 3))),
+        lambda: assemble(gen_cycle(3), "laplacian"),
+        lambda: quadratic_form(assemble(gen_cycle(3), "h"), np.ones(3)),
+    ],
+    ids=[
+        "normalization", "one-level-filtration", "omega-not-proper", "omega-no-boundary",
+        "eig-non-square", "assemble-kind", "quadratic-form-kind",
+    ],
+)
+def test_library_rejections_are_dirlap_errors(reject):
+    with pytest.raises(DirlapError):
+        reject()
