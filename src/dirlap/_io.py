@@ -1,5 +1,12 @@
-"""File helpers: reading, atomic writes, and the one place that turns
-values into output text (canonical JSON and CSV)."""
+"""File helpers: the one rule for numbers read from input, and the one
+place that turns values into output text (canonical JSON and CSV).
+
+In graph files, operator files and --omega alike, an id is a JSON
+integer and any other value a JSON number: never true/false, a string or
+null. An integer beyond the float range reads as an infinity of its
+sign, which each reader's finiteness check reports as not finite. (An
+operator's kind must be one of operators.KINDS, possibly restricted.)
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,43 @@ import os
 import tempfile
 from numbers import Integral
 
+import numpy as np
+
 from .errors import InputParseError
+
+# The exact Python types json.loads gives a JSON integer and a JSON number.
+INTEGER = frozenset({int})
+NUMBER = frozenset({int, float})
+
+
+def json_typed(values, types: frozenset) -> bool:
+    """Whether every value's exact type is in types, so a bool never is."""
+    return set(map(type, values)) <= types
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest float
+        return np.inf if value > 0 else -np.inf
+
+
+def floats(values) -> np.ndarray:
+    """A sequence of numbers as a float array, with an integer beyond the
+    float range taken as an infinity of its sign."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.asarray([_float(v) for v in values])
+
+
+def parse_json(text: str, source: str):
+    """Parse JSON text. Raises InputParseError naming source when the text
+    is not JSON, nests too deep or holds an integer too long to read."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputParseError(f"{source} is not valid JSON: {exc}") from exc
 
 
 def read_text(path: str) -> str:
@@ -23,10 +66,7 @@ def read_text(path: str) -> str:
 
 def read_json(path: str):
     """Parse a JSON file. Raises InputParseError on unreadable or invalid files."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_json(read_text(path), path)
 
 
 def write_text_atomic(path: str, text: str) -> None:

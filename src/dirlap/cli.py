@@ -10,11 +10,12 @@ schema violations).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from operator import attrgetter
 
-from ._io import dump_csv, dump_json, read_json, read_text, write_text_atomic
+from ._io import (
+    INTEGER, dump_csv, dump_json, json_typed, parse_json, read_json, read_text, write_text_atomic
+)
 from .errors import DirlapError, InputParseError, InvalidArgumentError
 from .generators import (
     gen_cycle,
@@ -60,18 +61,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_omega(args) -> list[int] | None:
     if getattr(args, "omega", None) is not None:
-        try:
-            ids = json.loads(args.omega)
-        except json.JSONDecodeError as exc:
-            raise InputParseError(f"omega must be a JSON array of ids: {exc}") from exc
+        ids = parse_json(args.omega, "omega")
     elif getattr(args, "omega_file", None) is not None:
         ids = read_json(args.omega_file)
     else:
         return None
-    # bool is a subclass of int, but true/false are not vertex ids
-    if not isinstance(ids, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in ids
-    ):
+    if not isinstance(ids, list) or not json_typed(ids, INTEGER):
         raise InputParseError("omega must be a JSON array of integer ids")
     return ids
 

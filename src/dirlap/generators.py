@@ -183,6 +183,13 @@ def _check_positive(**values: float) -> None:
             raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
 
 
+def _power(name: str, base: float, exponent: int) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        raise InvalidArgumentError(f"{name}**{exponent} is beyond the float range") from None
+
+
 def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> DirectedGraph:
     """L concentric layers of directed cycles with geometrically growing weight.
 
@@ -202,11 +209,11 @@ def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> 
         return layer * width + j
 
     for layer in range(L):
-        w_cycle = gamma**layer
+        w_cycle = _power("gamma", gamma, layer)
         for j in range(width):
             edges.append((vid(layer, j), vid(layer, (j + 1) % width), w_cycle))
         if layer + 1 < L:
-            w_radial = radial * gamma**layer
+            w_radial = radial * w_cycle
             for j in range(width):
                 edges.append((vid(layer, j), vid(layer + 1, j), w_radial))
                 edges.append((vid(layer + 1, j), vid(layer, j), w_radial))
@@ -228,7 +235,7 @@ def gen_symmetric_tree(depth: int, branching: int, weight_growth: float = 1.0) -
     level = [0]
     next_id = 1
     for d in range(depth):
-        w = weight_growth**d
+        w = _power("weight_growth", weight_growth, d)
         nxt = []
         for parent in level:
             for _ in range(branching):

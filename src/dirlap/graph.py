@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import read_json, write_text_atomic
+from ._io import INTEGER, NUMBER, floats, json_typed, read_json, write_text_atomic
 from .errors import (
     DuplicateEdgeError,
     EmptySubsetError,
@@ -154,9 +154,7 @@ def build_graph(
     _check_types(measures, Real, "measure")
     _check_types(tails + heads, Integral, "vertex id")
     _check_types(weights, Real, "weight")
-    return _graph_from_columns(
-        np.asarray(measures, dtype=float), [*map(int, tails)], [*map(int, heads)], weights
-    )
+    return _graph_from_columns(floats(measures), [*map(int, tails)], [*map(int, heads)], weights)
 
 
 def _check_types(values: Sequence, kind: type, what: str) -> None:
@@ -172,7 +170,7 @@ def _check_types(values: Sequence, kind: type, what: str) -> None:
 
 
 def _graph_from_columns(
-    m: np.ndarray, tails: Sequence[int], heads: Sequence[int], weights: Sequence[float]
+    m: np.ndarray, tails: Sequence[int], heads: Sequence[int], weights: Sequence
 ) -> DirectedGraph:
     """build_graph on float measures and edges given as three columns.
 
@@ -203,7 +201,7 @@ def _graph_from_columns(
         )
     ef = np.asarray(tails[:k], dtype=np.int64)
     et = np.asarray(heads[:k], dtype=np.int64)
-    ew = np.asarray(weights, dtype=float)
+    ew = floats(weights)
     bad = np.flatnonzero((ef == et) | ~(ew[:k] > 0))
     if bad.size:
         i = int(bad[0])
@@ -356,65 +354,30 @@ def graph_to_json_obj(g: DirectedGraph) -> dict:
     }
 
 
-def _json_number(item, key: str, convert):
-    """convert(item[key]) for a JSON integer (convert=int) or any JSON
-    number (convert=float). Strings, fractional ids and true/false (although
-    Python's bool is an int) are rejected, never coerced."""
-    value = item[key]
-    allowed = int if convert is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"{key!r} is not a JSON {'integer' if convert is int else 'number'}")
-    return convert(value)
-
-
-# the value types a column may hold without a per-entry check; bool is
-# not among them, since the check is on type(value), not isinstance
-_EXACT_TYPES = {int: {int}, float: {int, float}}
-
-
 def _json_columns(
-    items: list, spec: tuple[tuple[str, type], ...]
+    items: list, spec: tuple[tuple[str, frozenset], ...]
 ) -> tuple[list[list], int | None]:
-    """The columns [item[key] for item in items], one per (key, convert) of
-    spec, and the index of the first entry that _json_number rejects for
-    some key (None when there is none); the columns then stop before it.
+    """The columns [item[key] for item in items], one per (key, types) of
+    spec, and the index of the first entry that lacks a key or holds a
+    value not of its types (None when there is none); the columns then
+    stop before it.
 
     Whole columns are read and type-checked at once. Only when that fails,
-    from a malformed entry or a value of a subclass of int, are the entries
-    checked one by one.
+    as then some entry does, are the entries checked one by one.
     """
     try:
         columns = [[item[key] for item in items] for key, _ in spec]
-        if all(set(map(type, col)) <= _EXACT_TYPES[c] for col, (_, c) in zip(columns, spec)):
+        if all(json_typed(col, types) for col, (_, types) in zip(columns, spec)):
             return columns, None
     except (KeyError, TypeError):
         pass
-    columns = [[] for _ in spec]
-    for i, item in enumerate(items):
+    for bad, item in enumerate(items):
         try:
-            values = [_json_number(item, key, convert) for key, convert in spec]
-        except (KeyError, TypeError, ValueError):
-            return columns, i
-        for col, value in zip(columns, values):
-            col.append(value)
-    return columns, None
-
-
-def _json_float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the largest float
-        return np.inf if value > 0 else -np.inf
-
-
-def _json_floats(values: list) -> np.ndarray:
-    """JSON numbers as a float array. An integer too large for a float is
-    taken as an infinity of its sign, which build_graph's finiteness checks
-    then reject in their documented order."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        return np.asarray([_json_float(v) for v in values])
+            if not all(json_typed((item[key],), types) for key, types in spec):
+                break
+        except (KeyError, TypeError):
+            break
+    return [[item[key] for item in items[:bad]] for key, _ in spec], bad
 
 
 def graph_from_json_obj(obj) -> DirectedGraph:
@@ -431,14 +394,13 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     if not isinstance(obj, dict):
         raise SchemaViolationError("graph JSON must be an object")
     try:
-        vertices = obj["vertices"]
-        edges = obj["edges"]
-    except (KeyError, TypeError) as exc:
+        vertices, edges = obj["vertices"], obj["edges"]
+    except KeyError as exc:
         raise SchemaViolationError(f"graph JSON missing key: {exc}") from exc
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise SchemaViolationError("'vertices' and 'edges' must be arrays")
 
-    (ids, measures), bad = _json_columns(vertices, (("id", int), ("m", float)))
+    (ids, measures), bad = _json_columns(vertices, (("id", INTEGER), ("m", NUMBER)))
     if len(set(ids)) < len(ids):
         seen: set[int] = set()
         for vid in ids:
@@ -452,12 +414,13 @@ def graph_from_json_obj(obj) -> DirectedGraph:
     if ids and (min(ids) != 0 or max(ids) != n - 1):
         raise SchemaViolationError("vertex ids must be exactly 0..n-1")
     m = np.empty(n)
-    m[ids] = _json_floats(measures)
+    m[ids] = floats(measures)
 
-    (tails, heads, weights), bad = _json_columns(edges, (("from", int), ("to", int), ("b", float)))
+    spec = (("from", INTEGER), ("to", INTEGER), ("b", NUMBER))
+    (tails, heads, weights), bad = _json_columns(edges, spec)
     if bad is not None:
         raise SchemaViolationError(f"bad edge entry {edges[bad]!r}")
-    return _graph_from_columns(m, tails, heads, _json_floats(weights))
+    return _graph_from_columns(m, tails, heads, weights)
 
 
 def load_graph(path: str) -> DirectedGraph:

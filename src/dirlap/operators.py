@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._io import dump_csv
+from ._io import INTEGER, NUMBER, dump_csv, floats, json_typed, parse_json
 from .errors import InvalidArgumentError, KirchhoffViolatedError, SchemaViolationError
 from .graph import DirectedGraph, _subset_ids, check_kirchhoff
 
@@ -60,10 +60,13 @@ class Operator:
 
     def base_kind(self) -> str:
         """Kind with any dirichlet(...) wrapper removed."""
-        kind = self.kind
-        while kind.startswith("dirichlet(") and kind.endswith(")"):
-            kind = kind[len("dirichlet(") : -1]
-        return kind
+        return _base_kind(self.kind)
+
+
+def _base_kind(kind: str) -> str:
+    while kind.startswith("dirichlet(") and kind.endswith(")"):
+        kind = kind[len("dirichlet(") : -1]
+    return kind
 
 
 def assemble(g: DirectedGraph, kind: str) -> Operator:
@@ -201,40 +204,36 @@ def operator_to_json_obj(op: Operator) -> dict:
 
 
 def operator_from_json_obj(obj) -> Operator:
+    """Read operator_to_json_obj's shape; the kind is one of KINDS, possibly
+    in dirichlet(...), and every number follows the _io input rule."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise SchemaViolationError("operator JSON must be an object with a 'matrix' key")
-    try:
-        matrix = np.asarray(obj["matrix"], dtype=float)
-        metric = np.asarray(obj["metric"], dtype=float)
-        kind = obj["kind"]
-        support = obj.get("support")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolationError(f"bad operator JSON: {exc}") from exc
-    if not isinstance(kind, str):
-        raise SchemaViolationError("operator kind must be a string")
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    matrix, metric, kind, support = map(obj.get, ("matrix", "metric", "kind", "support"))
+    if type(kind) is not str or _base_kind(kind) not in KINDS:
+        raise SchemaViolationError(f"unknown operator kind {kind!r}, expected one of {KINDS}")
+    n = len(matrix) if isinstance(matrix, list) else 0
+    if not n or not all(isinstance(row, list) and len(row) == n for row in matrix):
         raise SchemaViolationError("operator matrix must be square")
-    if metric.shape != (matrix.shape[0],):
+    if not isinstance(metric, list) or len(metric) != n:
         raise SchemaViolationError("metric length must match the matrix")
+    entries = [x for row in matrix for x in row]
+    if not (json_typed(entries, NUMBER) and json_typed(metric, NUMBER)):
+        raise SchemaViolationError("operator matrix and metric must hold JSON numbers")
+    matrix, metric = floats(entries).reshape(n, n), floats(metric)
     if not np.all(metric > 0):
         raise SchemaViolationError("metric entries must be > 0")
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(metric))):
         raise SchemaViolationError("operator matrix and metric must be finite")
-    # bool is a subclass of int, but true/false are not vertex ids
     if support is not None and not (
         isinstance(support, list)
-        and all(type(v) is int and v >= 0 for v in support)
-        and len(set(support)) == len(support) == matrix.shape[0]
+        and json_typed(support, INTEGER)
+        and all(v >= 0 for v in support)
+        and len(set(support)) == len(support) == n
     ):
         raise SchemaViolationError("support must be null or one distinct vertex id >= 0 per row")
     matrix.flags.writeable = False
     metric.flags.writeable = False
-    return Operator(
-        matrix=matrix,
-        metric=metric,
-        kind=kind,
-        support=None if support is None else tuple(support),
-    )
+    return Operator(matrix, metric, kind, None if support is None else tuple(support))
 
 
 def operator_to_csv_text(op: Operator) -> str:
@@ -244,16 +243,17 @@ def operator_to_csv_text(op: Operator) -> str:
     return dump_csv([("kind", op.kind), ("metric", *op.metric), *support, *op.matrix.tolist()])
 
 
+def _cells(line: str) -> list:
+    return parse_json(f"[{line}]", "an operator CSV line read as a JSON array")
+
+
 def operator_from_csv_text(text: str) -> Operator:
+    """Read operator_to_csv_text's layout; each line's cells parse as one JSON array."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3 or not lines[0].startswith("kind,") or not lines[1].startswith("metric,"):
         raise SchemaViolationError("operator CSV needs 'kind,...' and 'metric,...' header lines")
     kind = lines[0].split(",", 1)[1]
-    support = lines.pop(2).split(",")[1:] if lines[2].startswith("support,") else None
-    try:
-        metric = np.asarray([float(x) for x in lines[1].split(",")[1:]], dtype=float)
-        matrix = np.asarray([[float(x) for x in ln.split(",")] for ln in lines[2:]], dtype=float)
-        support = None if support is None else [int(v) for v in support]
-    except ValueError as exc:
-        raise SchemaViolationError(f"bad operator CSV: {exc}") from exc
+    support = _cells(lines.pop(2).split(",", 1)[1]) if lines[2].startswith("support,") else None
+    metric = _cells(lines[1].split(",", 1)[1])
+    matrix = [_cells(ln) for ln in lines[2:]]
     return operator_from_json_obj(dict(kind=kind, metric=metric, matrix=matrix, support=support))

@@ -31,15 +31,11 @@ class Spectrum:
 class NumericalRangeBoundary:
     """Boundary samples of {(A f, f) : ||f|| = 1} for the metric product.
 
-    points[k] is the boundary point found in sweep direction angles[k];
-    nu is the smallest real part over the samples (equal to the true
-    infimum of Re over the numerical range whenever pi is among the
-    angles).
+    points[k] is the boundary point found in sweep direction angles[k].
     """
 
     angles: np.ndarray
     points: np.ndarray
-    nu: float
 
 
 @contextmanager
@@ -141,9 +137,7 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
                 if real and not filled[mirror]:
                     points[mirror] = points[j].conj()
                     filled[mirror] = True
-    return NumericalRangeBoundary(
-        angles=angles, points=points, nu=float(points.real.min())
-    )
+    return NumericalRangeBoundary(angles=angles, points=points)
 
 
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:

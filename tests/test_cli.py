@@ -524,6 +524,62 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "kind" in err
 
+    @pytest.mark.parametrize("kind", ["x\ny", "laplacian", "dirichlet(laplacian)", "dirichlet(h"])
+    def test_operator_kind_must_be_known(self, tmp_path, capsys, kind):
+        # an unknown kind is rejected before anything is exported
+        path, dumped = tmp_path / "op.json", tmp_path / "kn.csv"
+        path.write_text(json.dumps(
+            {"kind": kind, "metric": [1.0, 1.0], "matrix": [[1.0, -1.0], [-1.0, 1.0]]}
+        ))
+        code, out, err = run(capsys, "spectrum", str(path), "--dump-operator", str(dumped))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown operator kind") and not dumped.exists()
+
+    def test_restricted_kind_of_any_depth_is_read(self, tmp_path, capsys):
+        path = tmp_path / "op.csv"
+        path.write_text("kind,dirichlet(dirichlet(h))\nmetric,1.0\nsupport,4\n2.0\n")
+        code, out, _ = run(capsys, "spectrum", str(path), "--op", "h")
+        assert (code, out) == (0, "re,im\n2.0,0.0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"kind": "delta", "metric": [1.0], "matrix": [[True]]}),
+            json.dumps({"kind": "delta", "metric": ["2"], "matrix": [["1.5"]]}),
+            json.dumps({"kind": "delta", "metric": [1.0], "matrix": [[None]]}),
+            json.dumps({"kind": "delta", "metric": [1.0, 1.0], "matrix": [[10**400, 0], [0, 1]]}),
+            json.dumps({"kind": "delta", "metric": [-(10**400)], "matrix": [[1.0]]}),
+            json.dumps({"kind": "delta", "metric": [1.0, 1.0], "matrix": [[1.0, 0.0], [0.0]]}),
+            json.dumps({"kind": "delta", "matrix": [[1.0]]}),
+            "kind,delta\nmetric,1.0\n1.0,x\n",
+            "kind,delta\nmetric,true\n1.0\n",
+            "kind,delta\nmetric,1.0\n1" + "0" * 400 + "\n",
+            "kind,laplacian\nmetric,1.0\n1.0\n",
+            "kind,delta\nmetric,1_0\n2.0\n",
+            "kind,delta\nmetric,1.0,1.0\n1.0,0.0],[0.0,1.0\n",
+        ],
+        ids=[
+            "json-true", "json-strings", "json-null", "json-huge", "json-minus-huge-metric",
+            "json-ragged", "json-no-metric", "csv-word", "csv-true", "csv-huge", "csv-kind",
+            "csv-underscore", "csv-two-rows-in-one",
+        ],
+    )
+    def test_operator_values_must_be_numbers(self, tmp_path, capsys, text):
+        path = tmp_path / ("op.json" if text.startswith("{") else "op.csv")
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep"])
+    def test_json_the_parser_cannot_hold(self, triangle_file, tmp_path, capsys, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        for argv in (["check", str(path)], ["cheeger", triangle_file, "--omega", text]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "is not valid JSON" in err
+
     @pytest.mark.parametrize("omega", ["[0]", "[3]", "[4,5]", "[1]"])
     def test_restricted_export_reads_alike_from_csv_and_json(self, tmp_path, capsys, omega):
         graph = tmp_path / "c.json"
@@ -570,6 +626,10 @@ class TestErrorPaths:
             ("gen", "layered", "--layers", "0", "--width", "4", "--gamma", "2", "--out", "{out}"),
             ("gen", "layered", "--layers", "1", "--width", "3", "--gamma", "nan", "--out", "{out}"),
             ("gen", "tree", "--depth", "2", "--branching", "1", "--growth", "nan", "--out", "{out}"),
+            ("gen", "layered", "--layers", "3", "--width", "2", "--gamma", "1e200",
+             "--out", "{out}"),
+            ("gen", "tree", "--depth", "3", "--branching", "1", "--growth", "1e200",
+             "--out", "{out}"),
             ("infinity", "{graph}", "--root", "99"),
             ("check", "{graph}", "--tol", "-1"),
             ("check", "{graph}", "--tol", "nan"),
@@ -579,6 +639,7 @@ class TestErrorPaths:
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
             "circulation-empty-weight-range", "circulation-wmin-nan", "circulation-wmax-inf",
             "circulation-weight-overflow", "layered-0", "layered-gamma-nan", "tree-growth-nan",
+            "layered-gamma-overflow", "tree-growth-overflow",
             "infinity-root", "check-tol",
             "check-tol-nan", "check-tol-inf",
         ],

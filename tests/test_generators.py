@@ -194,6 +194,10 @@ class TestLayeredHeavy:
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite and > 0"):
             gen_layered_heavy(1, 3, **kwargs)
 
+    def test_rejects_weights_beyond_the_float_range(self):
+        with pytest.raises(InvalidArgumentError, match=r"^gamma\*\*2 is beyond the float range"):
+            gen_layered_heavy(3, 2, 1e200)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_layered_heavy(0, 3, 2.0)
@@ -218,6 +222,10 @@ class TestSymmetricTree:
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_symmetric_tree(0, 2)
+
+    def test_rejects_weights_beyond_the_float_range(self):
+        with pytest.raises(InvalidArgumentError, match=r"^weight_growth\*\*2 is beyond"):
+            gen_symmetric_tree(3, 1, 1e200)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_non_positive_and_non_finite_growth(self, value):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -78,6 +79,18 @@ class TestBuildGraph:
             build_graph([1.0, bad], edges)
         with pytest.raises(DirlapError):
             build_graph([1.0, 1.0], [(0, 1, bad), (1, 0, 1.0)])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_the_float_range_is_not_finite(self, sign):
+        edges = [(0, 1, 1.0), (1, 0, 1.0)]
+        huge = sign * 10**400
+        with pytest.raises(DirlapError, match="^measure of vertex 0 is (not finite|-inf)"):
+            build_graph([huge, 1.0], edges)
+        with pytest.raises(DirlapError, match="has (a weight that is not finite|weight -inf)"):
+            build_graph([1.0, 1.0], [(0, 1, huge), (1, 0, 1.0)])
+        # a Fraction beyond the float range overflows the same way
+        with pytest.raises(SchemaViolationError, match="^measure of vertex 1 is not finite"):
+            build_graph([1.0, Fraction(10**400, 3)], edges)
 
     def test_rejects_overflowing_weight_totals(self):
         # every weight is finite, but vertex 0's outgoing and incoming totals are not
@@ -469,6 +482,9 @@ ORDER = [
     ("inf-measure-then-zero", lambda o: _set(_set(o, V, 0, m=math.inf), V, -1, m=0.0)),
     ("huge-measure-then-zero", lambda o: _set(_set(o, V, 0, m=10**400), V, -1, m=0.0)),
     ("huge-weight-then-duplicate", lambda o: _dup_first(_set(o, E, -1, b=10**400), 1)),
+    # a malformed later entry sends the reader to its per-entry scan
+    ("huge-measure-then-bad-vertex", lambda o: _set(_set(o, V, 0, m=10**400), V, -1, id="x")),
+    ("huge-weight-then-bad-edge", lambda o: _set(_set(o, E, 0, b=-(10**400)), E, -1, to=None)),
     ("range-then-bad-edge", lambda o: _set(_set(o, E, 0, to=-3), E, -1, b="x")),
     ("range-then-loop", lambda o: _set(_set(o, E, 0, to=10**30), E, -1, to=o[E][-1]["from"])),
     ("loop-then-range", lambda o: _set(_set(o, E, 0, to=o[E][0]["from"]), E, -1, to=10**30)),

@@ -96,10 +96,11 @@ class TestNumericalRange:
             attained = (p * np.exp(1j * theta)).real
             assert attained >= support_value(bdry.points, -theta) - 1e-10
 
-    def test_nu_field_matches_spectral_nu(self):
+    def test_sampled_minimum_matches_spectral_nu(self):
+        # 16 angles include pi, whose sample attains the infimum of Re
         op = assemble(gen_random_circulation(8, 4, seed=7), "normalized_delta")
         bdry = numerical_range_boundary(op, 16)
-        assert bdry.nu == pytest.approx(nu(op), abs=1e-10)
+        assert bdry.points.real.min() == pytest.approx(nu(op), abs=1e-10)
 
     def test_symmetric_operator_collapses_to_interval(self):
         op = assemble(gen_cycle(4), "h")
@@ -185,7 +186,6 @@ def assert_matches_full_sweep(op, n_angles):
         top = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-2:]
         if top[1] - top[0] > 1e-8:
             assert abs(p - q) <= tol
-    assert bdry.nu == float(bdry.points.real.min())
     return bdry
 
 
