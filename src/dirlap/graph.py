@@ -263,10 +263,14 @@ def check_kirchhoff(g: DirectedGraph, tol: float | None = None) -> KirchhoffRepo
 def _subset_ids(omega: Iterable[int], n: int | None) -> list[int]:
     """The distinct members of a vertex subset, sorted.
 
-    Raises EmptySubsetError on an empty subset and, unless n is None,
-    SchemaViolationError on a member outside 0..n-1.
+    Members are vertex ids as build_graph takes them: Python or numpy
+    integers, never a bool. Raises EmptySubsetError on an empty subset and
+    SchemaViolationError on any other member or, unless n is None, on a
+    member outside 0..n-1.
     """
-    ids = sorted({int(v) for v in omega})
+    members = list(omega)
+    _check_types(members, Integral, "subset member")
+    ids = sorted({int(v) for v in members})
     if not ids:
         raise EmptySubsetError("vertex subset is empty")
     if n is not None and (ids[0] < 0 or ids[-1] >= n):

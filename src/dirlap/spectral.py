@@ -13,11 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NoConvergenceError
+from .generators import SplitMix64
 from .operators import Operator, to_euclidean
 
 _HERMITIAN_RTOL = 1e-12
 # kernel_dimension counts the moduli at most this times the largest one
 _KERNEL_RTOL = 1e-8
+# numerical_range_boundary finds extreme eigenvectors of H(theta) / ||A||_2
+# by inverse iteration (_extreme_vector) from one fixed start vector,
+# SplitMix64(_START_SEED).complex_vector(n). A shift of 1 ulp leaves the
+# shifted matrix singular on cycles; one of n eps ||A||_F needs two solves
+# per extreme at n = 300, where _SHIFT needs one at almost every extreme.
+_EPS = float(np.finfo(float).eps)
+_SHIFT = 16 * _EPS
+_RESIDUAL_ULPS = 4
+_MAX_SOLVES = 3
+_START_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,27 +89,22 @@ def eig(matrix: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals)
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Deterministic representative: first nonzero component real positive."""
-    scale = float(np.max(np.abs(v)))
-    for x in v:
-        if abs(x) > 1e-12 * scale:
-            return v * (np.conj(x) / abs(x))
-    return v
-
-
 def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBoundary:
     """Sample the numerical range boundary by a rotation sweep.
 
-    For each angle theta, the top eigenvector v of H(theta), the Hermitian
+    For each angle theta, a top eigenvector x of H(theta), the Hermitian
     part of e^{i theta} A (Euclidean coordinates), maximizes
-    Re e^{i theta}(A f, f) over unit f, so (A v, v) is a boundary point with
-    outer normal direction e^{-i theta}. Angles are 2 pi k / n_angles,
-    k = 0..n_angles-1.
+    Re e^{i theta}(A f, f) over unit f, so its Rayleigh quotient
+    x^* A x / x^* x is a boundary point with outer normal direction
+    e^{-i theta}. Angles are 2 pi k / n_angles, k = 0..n_angles-1.
 
-    One eigh of H(theta_k) fills every angle it determines:
-    - the top eigenvector gives angle k;
-    - when n_angles is even, the bottom eigenvector gives angle
+    H(theta) = cos theta Herm(A) + sin theta Herm(iA), from two matrices
+    formed once. Each solved angle takes the eigenvalues of H(theta) alone
+    and then, for each extreme it fills, the eigenvector by inverse
+    iteration (_extreme_vector). That eigenvalue solve fills every angle it
+    determines:
+    - the top eigenvalue gives angle k;
+    - when n_angles is even, the bottom eigenvalue gives angle
       k + n_angles / 2, because H(theta + pi) = -H(theta);
     - when the Euclidean matrix A is real, H(-theta) is the conjugate of
       H(theta), so each of these points, conjugated, also gives the
@@ -107,15 +113,24 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     filled; each angle keeps the first value that reaches it, in the order
     top, its conjugate, bottom, its conjugate. So points[(n_angles - k) %
     n_angles] is exactly points[k].conj() for a real A (k other than 0 and
-    n_angles / 2). A real A takes n_angles // 4 + 1 eigensolves for an even
-    n_angles and n_angles // 2 + 1 for an odd one; a complex A takes
-    n_angles / 2 and n_angles.
+    n_angles / 2). A real A takes n_angles // 4 + 1 eigenvalue solves for
+    an even n_angles and n_angles // 2 + 1 for an odd one; a complex A
+    takes n_angles / 2 and n_angles.
+
+    Where the extreme eigenvalue is multiple, W(A) has a flat edge normal
+    to the direction, and the point is the one of that edge which the
+    fixed start vector of the inverse iteration leads to, up to rounding.
     """
     if n_angles < 4:
         raise InvalidArgumentError(f"need n_angles >= 4, got {n_angles}")
     euclidean = to_euclidean(op)
     real = np.isrealobj(euclidean)
     a = euclidean.astype(complex)
+    with converging("singular value"):
+        # every vector of the zero operator is extreme; any scale will do
+        scale = float(np.linalg.norm(a, 2)) or 1.0
+    herm, skew = hermitian_part(a) / scale, hermitian_part(1j * a) / scale
+    start = SplitMix64(_START_SEED).complex_vector(a.shape[0])
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
     filled = np.zeros(n_angles, dtype=bool)
@@ -123,21 +138,47 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
         for k in range(n_angles):
             if filled[k]:
                 continue
-            _, vecs = np.linalg.eigh(hermitian_part(np.exp(1j * angles[k]) * a))
-            ends = [(k, vecs[:, -1])]
+            h = np.cos(angles[k]) * herm + np.sin(angles[k]) * skew
+            vals = np.linalg.eigvalsh(h)
+            ends = [(k, vals[-1] + _SHIFT)]
             if n_angles % 2 == 0:
-                ends.append((k + n_angles // 2, vecs[:, 0]))
-            for j, v in ends:
+                ends.append((k + n_angles // 2, vals[0] - _SHIFT))
+            for j, sigma in ends:
                 if filled[j]:
                     continue
-                v = _phase_normalize(v)
-                points[j] = v.conj() @ (a @ v)
+                x = _extreme_vector(h, sigma, start)
+                points[j] = (x.conj() @ (a @ x)) / (x.conj() @ x)
                 filled[j] = True
                 mirror = (n_angles - j) % n_angles
                 if real and not filled[mirror]:
                     points[mirror] = points[j].conj()
                     filled[mirror] = True
     return NumericalRangeBoundary(angles=angles, points=points)
+
+
+def _extreme_vector(h: np.ndarray, sigma: float, start: np.ndarray) -> np.ndarray:
+    """Unit eigenvector for the extreme eigenvalue of the Hermitian h,
+    scaled to norm at most 1, by inverse iteration from start.
+
+    sigma is the computed extreme eigenvalue moved outward by _SHIFT. Solve
+    (h - sigma I) x = start, then again from x, until the residual
+    |h x - rho x| with rho = x^* h x is at most _RESIDUAL_ULPS (n + 1) eps.
+    With a shift this small one solve is enough unless start is nearly
+    orthogonal to the eigenvector (Ipsen, SIAM Review 1997).
+    """
+    n = h.shape[0]
+    shifted = h - sigma * np.eye(n)
+    bound = _RESIDUAL_ULPS * (n + 1) * _EPS
+    x = start
+    for _ in range(_MAX_SOLVES):
+        x = np.linalg.solve(shifted, x)
+        x = x / np.linalg.norm(x)
+        hx = h @ x
+        if np.linalg.norm(hx - (x.conj() @ hx) * x) <= bound:
+            return x
+    raise NoConvergenceError(
+        f"inverse iteration did not reach residual {bound!r} in {_MAX_SOLVES} solves"
+    )
 
 
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:

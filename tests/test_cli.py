@@ -265,6 +265,37 @@ class TestNumrange:
         text = dumped.read_text()
         assert text.startswith("kind,delta\nmetric,1.0,1.0,1.0\n")
 
+    def test_zero_operator_sweeps_to_zero(self, tmp_path, capsys):
+        # every vector is an extreme one, and every point is 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"kind": "delta", "metric": [1.0, 2.0], "matrix": [[0.0] * 2] * 2}))
+        code, out, _ = run(capsys, "numrange", str(path), "--angles", "8")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 8
+        assert all(float(re) == 0.0 and float(im) == 0.0 for _, re, im in rows)
+
+    def test_one_vertex_restriction_prints_its_entry(self, triangle_file, capsys):
+        # W([[1]]) = {1}; the Rayleigh quotient of a 1 x 1 matrix is exact
+        code, out, _ = run(capsys, "numrange", triangle_file, "--omega", "[1]", "--angles", "16")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(re == "1.0" and float(im) == 0.0 for _, re, im in rows)
+
+    @pytest.mark.parametrize("omega", [None, "[0]"])
+    @pytest.mark.parametrize("op", ["delta", "h", "normalized-h"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cycles_with_multiple_extremes(self, tmp_path, capsys, n, op, omega):
+        # a cycle's operators are normal or symmetric, so most directions
+        # have a multiple extreme eigenvalue
+        path = tmp_path / "cycle.json"
+        save_graph(gen_cycle(n), path)
+        argv = ["numrange", str(path), "--op", op, "--angles", "96"]
+        code, out, _ = run(capsys, *argv, *(["--omega", omega] if omega else []))
+        assert code == 0
+        assert len(out.strip().splitlines()) == 97
+
 
 class TestCheeger:
     def test_defaults_to_all_vertices(self, triangle_file, capsys):
@@ -680,20 +711,38 @@ def test_module_entry_point(tmp_path):
     assert json.loads(result.stdout)["satisfied"] is True
 
 
+def package_env(**variables):
+    """os.environ plus variables, with this dirlap first on PYTHONPATH."""
+    package_root = os.path.dirname(os.path.dirname(dirlap.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **variables)
+
+
+def test_sweep_does_not_import_scipy():
+    # numpy is the only runtime requirement
+    code = (
+        "import sys, dirlap\n"
+        "op = dirlap.assemble(dirlap.gen_random_circulation(8, 3, seed=1), 'delta')\n"
+        "dirlap.numerical_range_boundary(op, 16)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_verify_is_identical_across_blas_threads(tmp_path):
     # n = 23: the complement of the root has 22 vertices
     save_graph(gen_random_circulation(23, 4, seed=4), tmp_path / "g23.json")
     # run from tmp_path with a relative path, since the instance names carry it
-    package_root = os.path.dirname(os.path.dirname(dirlap.__file__))
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         result = subprocess.run(
             [sys.executable, "-m", "dirlap", "verify", "g23.json"],
             capture_output=True,
             cwd=tmp_path,
-            env=env,
+            env=package_env(OPENBLAS_NUM_THREADS=threads),
             timeout=300,
         )
         assert result.returncode == 0, result.stderr

@@ -249,6 +249,21 @@ class TestSubsetsAndBoundaries:
         with pytest.raises(SchemaViolationError):
             subset_array(gen_cycle(3), [0, 3])
 
+    @pytest.mark.parametrize(
+        "omega, member",
+        [([1.7, True, "3"], "1.7"), ([True], "True"), (["3"], "'3'"), ([1.0], "1.0"),
+         (np.array([True, False]), "np.True_"), (np.array([1.0, 2.0]), "np.float64\\(1.0\\)")],
+        ids=["mixed", "bool", "string", "integral-float", "numpy-bool", "numpy-float"],
+    )
+    def test_subset_members_follow_the_vertex_id_rule(self, omega, member):
+        with pytest.raises(SchemaViolationError, match=f"^subset member {member} is not an integer"):
+            subset_array(gen_cycle(4), omega)
+
+    def test_subset_members_may_be_numpy_integers(self):
+        members = [np.int32(3), np.uint8(1), 2]
+        assert subset_array(gen_cycle(4), members).tolist() == [1, 2, 3]
+        assert subset_array(gen_cycle(4), np.array([2, 0])).tolist() == [0, 2]
+
     def test_boundary_on_cycle(self):
         g = gen_cycle(4)
         touched, crossing = boundaries(g, [0, 1])

@@ -15,6 +15,7 @@ from dirlap import (
     NORMALIZATIONS,
     DisconnectedError,
     EmptyComplementError,
+    SchemaViolationError,
     Filtration,
     build_filtration,
     build_graph,
@@ -48,6 +49,11 @@ def rescaled(g):
 
 
 class TestCheegerExact:
+    def test_rejects_members_that_are_not_integers(self):
+        for omega in ([0.5, 1.9], [True, 2], ["1"]):
+            with pytest.raises(SchemaViolationError, match="is not an integer"):
+                cheeger_exact(gen_cycle(4), omega, "measure")
+
     def test_triangle_hand_values(self):
         g = gen_cycle(3)
         one = cheeger_exact(g, [0])

@@ -149,6 +149,15 @@ class TestDirichlet:
         with pytest.raises(SchemaViolationError):
             dirichlet(op, [3])
 
+    def test_rejects_members_that_are_not_integers(self):
+        op = assemble(gen_cycle(3), "delta")
+        restricted = dirichlet(op, [0, 2])
+        for omega in ([0.5, 1.9], [True], ["2"]):
+            with pytest.raises(SchemaViolationError, match="is not an integer"):
+                dirichlet(op, omega)
+            with pytest.raises(SchemaViolationError, match="is not an integer"):
+                dirichlet(restricted, omega)
+
     @pytest.mark.parametrize("omega", [[], [3], [-1, 0]])
     def test_rejects_as_subset_array_does(self, omega):
         g = gen_cycle(3)

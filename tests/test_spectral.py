@@ -150,32 +150,27 @@ def complex_operator():
     return Operator(matrix=op.matrix * np.exp(0.3j), metric=op.metric, kind=op.kind)
 
 
-def top_filled_angles(n_angles, real):
-    """The solved angles, each of which takes the top eigenvector of its
-    own solve: k = 0..n_angles // 4 for a real operator and an even count,
-    k = 0..n_angles // 2 for a real operator and an odd count, the first
-    half for a complex operator and an even count, and every angle for a
-    complex operator and an odd count."""
+def solved_angles(n_angles, real):
+    """How many angles the sweep solves: n_angles // 4 + 1 for a real
+    operator and an even count, n_angles // 2 + 1 for a real operator and
+    an odd count, n_angles / 2 for a complex operator and an even count,
+    and every angle for a complex operator and an odd count."""
     if real:
-        last = n_angles // 4 if n_angles % 2 == 0 else n_angles // 2
-        return set(range(last + 1))
-    return set(range(n_angles // 2 if n_angles % 2 == 0 else n_angles))
+        return (n_angles // 4 if n_angles % 2 == 0 else n_angles // 2) + 1
+    return n_angles // 2 if n_angles % 2 == 0 else n_angles
 
 
 def assert_matches_full_sweep(op, n_angles):
-    """Compare the paired sweep with the every-angle oracle: top-filled
-    points by bytes, every other point by its support value, and by the
-    point itself where the top eigenvalue of its direction is simple."""
+    """Compare the paired sweep with the every-angle eigh oracle: every
+    point by its support value, and by the point itself where the top
+    eigenvalue of its direction is simple. The sweep finds its vectors by
+    another solver, so no point is compared by bytes."""
     bdry = numerical_range_boundary(op, n_angles)
     angles, expected = full_sweep_boundary(op, n_angles)
     assert bdry.angles.tobytes() == angles.tobytes()
     a = to_euclidean(op)
-    top_filled = top_filled_angles(n_angles, np.isrealobj(a))
     for k in range(n_angles):
         p, q = bdry.points[k], expected[k]
-        if k in top_filled:
-            assert p.tobytes() == q.tobytes()
-            continue
         tol = 1e-12 * (1.0 + abs(q))
         direction = np.exp(1j * angles[k])
         assert abs((p * direction).real - (q * direction).real) <= tol
@@ -207,19 +202,40 @@ class TestMirroredSweep:
 
     @pytest.mark.parametrize("n_angles, solves", [(4, 2), (5, 3), (16, 5), (360, 91)])
     def test_eigensolve_count(self, monkeypatch, n_angles, solves):
+        # one eigenvalue-only solve per solved angle, and no eigh
         calls = []
-        eigh = dirlap.spectral.np.linalg.eigh
+        linalg = dirlap.spectral.np.linalg
+        eigvalsh = linalg.eigvalsh
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_eigvalsh(a, *args, **kwargs):
             calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(dirlap.spectral.np.linalg, "eigh", counting_eigh)
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the sweep calls eigh")
+
+        monkeypatch.setattr(linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(linalg, "eigh", no_eigh)
         numerical_range_boundary(assemble(gen_cycle(3), "delta"), n_angles)
-        assert len(calls) == solves == len(top_filled_angles(n_angles, True))
+        assert len(calls) == solves == solved_angles(n_angles, True)
         calls.clear()
         numerical_range_boundary(complex_operator(), n_angles)
-        assert len(calls) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
+        assert len(calls) == solved_angles(n_angles, False)
+
+    def test_inverse_iteration_gives_up_after_three_solves(self, monkeypatch):
+        # with a residual bound of 0 no solve is good enough
+        calls = []
+        solve = dirlap.spectral.np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(dirlap.spectral.np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(dirlap.spectral, "_RESIDUAL_ULPS", 0)
+        with pytest.raises(NoConvergenceError, match="3 solves"):
+            numerical_range_boundary(SWEEP_OPERATORS["pi_circulation"](), 8)
+        assert len(calls) == 3
 
 
 @st.composite
