@@ -10,6 +10,7 @@ operator's kind must be one of operators.KINDS, possibly restricted.)
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -18,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InputParseError
+from .errors import InputParseError, InvalidArgumentError
 
 # The exact Python types json.loads gives a JSON integer and a JSON number.
 INTEGER = frozenset({int})
@@ -72,20 +73,26 @@ def read_json(path: str):
 def write_text_atomic(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory + rename.
 
-    Readers never observe a half-written file.
+    Readers never observe a half-written file, and the file gets the mode
+    a plain write would give it under the current umask. Raises
+    InvalidArgumentError naming path when it cannot be written.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def dump_json(obj) -> str:

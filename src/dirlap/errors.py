@@ -15,7 +15,8 @@ class InputParseError(DirlapError):
 
 class InvalidArgumentError(DirlapError, ValueError):
     """A parameter is out of its documented range (too few angles, a
-    generator size below its minimum, a vertex id outside the graph)."""
+    generator size below its minimum, a vertex id outside the graph), or
+    an output path cannot be written."""
 
 
 class SchemaViolationError(DirlapError):

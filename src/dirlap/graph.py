@@ -39,22 +39,6 @@ KIRCHHOFF_DEFAULT_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class Adjacency:
-    """Both orientations of every edge, grouped by the vertex that owns them.
-
-    Entry e belongs to vertex owner[e] and joins it to nbr[e] with weight
-    weight[e]; outgoing[e] tells whether the edge runs owner -> nbr. owner
-    is sorted, and within one owner the entries keep the edge-list order, so
-    a per-vertex sum taken in entry order (np.bincount) adds in edge order.
-    """
-
-    owner: np.ndarray
-    nbr: np.ndarray
-    weight: np.ndarray
-    outgoing: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Immutable directed weighted graph.
 
@@ -65,7 +49,9 @@ class DirectedGraph:
         edge_weight: shape (E,) strictly positive weights b(x, y).
 
     Edges are stored sorted by (from, to), so two graphs built from the
-    same data have identical arrays.
+    same data have identical arrays. Besides these fields a graph keeps
+    only beta_plus and beta_minus, computed on first use; every other view
+    of the edges is derived from the edge list where it is needed.
     """
 
     n: int
@@ -88,25 +74,13 @@ class DirectedGraph:
         out.flags.writeable = False
         return out
 
-    @cached_property
+    @property
     def weight_matrix(self) -> np.ndarray:
-        """Dense (n, n) matrix B with B[x, y] = b(x, y), zero elsewhere."""
+        """Dense (n, n) matrix B with B[x, y] = b(x, y), zero elsewhere,
+        built anew on each access."""
         B = np.zeros((self.n, self.n))
         B[self.edge_from, self.edge_to] = self.edge_weight
-        B.flags.writeable = False
         return B
-
-    @cached_property
-    def adjacency(self) -> Adjacency:
-        """The edge list seen from both endpoints; see Adjacency."""
-        # interleave (from, to) per edge, so even positions are outgoing
-        ends = np.stack([self.edge_from, self.edge_to], axis=1).ravel()
-        others = np.stack([self.edge_to, self.edge_from], axis=1).ravel()
-        order = np.argsort(ends, kind="stable")
-        arrays = (ends[order], others[order], np.repeat(self.edge_weight, 2)[order], order % 2 == 0)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return Adjacency(*arrays)
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """Iterate (from, to, weight) triples in canonical order."""
@@ -304,15 +278,18 @@ def boundaries(
 
 
 def hop_distances(
-    g: DirectedGraph, root: int, along: np.ndarray | None = None
+    g: DirectedGraph, root: int, arcs: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
     """Breadth-first edge counts from root, -1 where root does not reach.
 
-    along selects the adjacency entries that may be walked (owner -> nbr);
-    by default all of them, which walks the undirected skeleton.
+    arcs is a (tails, heads) pair of equal-length vertex arrays, the steps
+    tails[i] -> heads[i] that may be walked; by default every edge in both
+    directions, which walks the undirected skeleton.
     """
-    adj = g.adjacency
-    owner, nbr = (adj.owner, adj.nbr) if along is None else (adj.owner[along], adj.nbr[along])
+    if arcs is None:
+        ends = (g.edge_from, g.edge_to)
+        arcs = (np.concatenate(ends), np.concatenate(ends[::-1]))
+    tails, heads = arcs
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[root] = 0
     frontier = dist == 0
@@ -320,7 +297,7 @@ def hop_distances(
     while frontier.any():
         hops += 1
         reached = np.zeros(g.n, dtype=bool)
-        reached[nbr[frontier[owner]]] = True
+        reached[heads[frontier[tails]]] = True
         frontier = reached & (dist < 0)
         dist[frontier] = hops
     return dist
@@ -333,12 +310,12 @@ def connectivity(g: DirectedGraph) -> tuple[bool, bool]:
     strongly_connected: every vertex reaches every other along directed
     edges. The second implies the first.
     """
-    out = g.adjacency.outgoing
-    connected = bool(np.all(hop_distances(g, 0) >= 0))
+    forward = (g.edge_from, g.edge_to)
     strong = bool(
-        np.all(hop_distances(g, 0, out) >= 0) and np.all(hop_distances(g, 0, ~out) >= 0)
+        np.all(hop_distances(g, 0, forward) >= 0)
+        and np.all(hop_distances(g, 0, forward[::-1]) >= 0)
     )
-    return connected, strong
+    return strong or bool(np.all(hop_distances(g, 0) >= 0)), strong
 
 
 def schrodinger_potential(g: DirectedGraph) -> np.ndarray:

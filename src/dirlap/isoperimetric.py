@@ -150,21 +150,23 @@ def _exact(
     """cheeger_exact on a sorted array of distinct valid vertex ids, once
     per normalization, over one network."""
     k = idx.size
-    adj = g.adjacency
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)
-    p_own, p_nbr = pos[adj.owner], pos[adj.nbr]
-    leaving = np.flatnonzero((p_own >= 0) & (p_nbr < 0))
-    # each internal pair u < v, seen from u, once per edge direction
-    inner = np.flatnonzero((p_own >= 0) & (p_own < p_nbr))
-    keys = p_own[inner] * k + p_nbr[inner]
+    ends = pos[g.edge_from], pos[g.edge_to]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    # an edge with one end in omega belongs to that end, hi; an edge with
+    # both joins the internal pair lo < hi, once per direction
+    leaving = np.flatnonzero((lo < 0) & (hi >= 0))
+    inner = np.flatnonzero(lo >= 0)
+    keys = lo[inner] * k + hi[inner]
     pairs = np.flatnonzero(np.bincount(keys, minlength=k * k))
     which = np.searchsorted(pairs, keys)
+    w = g.edge_weight
     ints = _dyadic_integers(
-        np.concatenate([g.measure[idx], g.beta_plus[idx], adj.weight[leaving], adj.weight[inner]])
+        np.concatenate([g.measure[idx], g.beta_plus[idx], w[leaving], w[inner]])
     )
     denoms = {"measure": ints[:k], "beta_plus": ints[k : 2 * k]}
-    ext = _group_sums(p_own[leaving], ints[2 * k : 2 * k + leaving.size], k)
+    ext = _group_sums(hi[leaving], ints[2 * k : 2 * k + leaving.size], k)
     pair_weight = _group_sums(which, ints[2 * k + leaving.size :], pairs.size)
     u, v = pairs // k, pairs % k
 
@@ -224,11 +226,18 @@ def cheeger_exact(
     return _exact(g, subset_array(g, omega), (normalization,))[0]
 
 
-def _toggle_deltas(g: DirectedGraph, crossed: np.ndarray) -> np.ndarray:
+def _toggle_deltas(g: DirectedGraph, tail_crossed, head_crossed) -> np.ndarray:
     """Per vertex, the change in cut weight when it switches sides, given
-    whether each adjacency entry crosses the cut before the switch."""
-    adj = g.adjacency
-    return np.bincount(adj.owner, weights=adj.weight * (1.0 - 2.0 * crossed), minlength=g.n)
+    whether each edge crosses the cut before its tail, and before its head,
+    switches (a bool per edge, or one for all of them).
+
+    Each edge is seen from its tail and then from its head, in edge-list
+    order, so every vertex's sum adds its edges' terms in edge-list order.
+    """
+    w = g.edge_weight
+    ends = np.stack([g.edge_from, g.edge_to], axis=1).ravel()
+    signed = np.stack([w * (1.0 - 2.0 * tail_crossed), w * (1.0 - 2.0 * head_crossed)], axis=1)
+    return np.bincount(ends, weights=signed.ravel(), minlength=g.n)
 
 
 def _prefix_sweep(
@@ -236,10 +245,10 @@ def _prefix_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cut and denominator of every prefix of ordering, each vertex added
     to the previous prefix in turn."""
-    adj = g.adjacency
     rank = np.full(g.n, ordering.size)
     rank[ordering] = np.arange(ordering.size)
-    deltas = _toggle_deltas(g, rank[adj.nbr] < rank[adj.owner])
+    tail_rank, head_rank = rank[g.edge_from], rank[g.edge_to]
+    deltas = _toggle_deltas(g, head_rank < tail_rank, tail_rank < head_rank)
     return np.cumsum(deltas[ordering]), np.cumsum(denom_vals[ordering])
 
 
@@ -271,7 +280,7 @@ def cheeger_heuristic(
     # singletons (whose cut is their total edge weight); the first smallest
     # ratio wins
     sweeps = [_prefix_sweep(g, ordering, denom_vals) for ordering in (order, order[::-1])]
-    degrees = _toggle_deltas(g, np.zeros(g.adjacency.owner.size, dtype=bool))
+    degrees = _toggle_deltas(g, False, False)
     ratios = np.concatenate(
         [cut / denom for cut, denom in sweeps] + [degrees[order] / denom_vals[order]]
     )
@@ -287,9 +296,9 @@ def cheeger_heuristic(
     current = cut / denom
     in_u = np.zeros(g.n, dtype=bool)
     in_u[best_set] = True
-    adj = g.adjacency
     for _ in range(1000 + 10 * k):
-        deltas = _toggle_deltas(g, in_u[adj.owner] ^ in_u[adj.nbr])[order]
+        crossed = in_u[g.edge_from] != in_u[g.edge_to]
+        deltas = _toggle_deltas(g, crossed, crossed)[order]
         leaving = in_u[order]
         new_denoms = np.where(leaving, denom - denom_vals[order], denom + denom_vals[order])
         # the last member may not leave

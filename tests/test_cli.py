@@ -665,6 +665,11 @@ class TestErrorPaths:
             ("check", "{graph}", "--tol", "-1"),
             ("check", "{graph}", "--tol", "nan"),
             ("check", "{graph}", "--tol", "inf"),
+            ("gen", "cycle", "--n", "3", "--out", "{dir}"),
+            ("gen", "cycle", "--n", "3", "--out", "{missing}"),
+            ("check", "{graph}", "--out", "{missing}"),
+            ("verify", "{graph}", "--out", "{missing}"),
+            ("spectrum", "{graph}", "--dump-operator", "{missing_csv}"),
         ],
         ids=[
             "angles-2", "angles-0", "angles-negative", "cycle-n1", "circulation-n1",
@@ -672,12 +677,20 @@ class TestErrorPaths:
             "circulation-weight-overflow", "layered-0", "layered-gamma-nan", "tree-growth-nan",
             "layered-gamma-overflow", "tree-growth-overflow",
             "infinity-root", "check-tol",
-            "check-tol-nan", "check-tol-inf",
+            "check-tol-nan", "check-tol-inf", "out-directory", "gen-out-missing-dir",
+            "check-out-missing-dir", "verify-out-missing-dir", "dump-operator-missing-dir",
         ],
     )
     def test_invalid_argument(self, triangle_file, tmp_path, capsys, argv):
         out = tmp_path / "x.json"
-        argv = [a.format(graph=triangle_file, out=out) for a in argv]
+        missing = tmp_path / "missing"
+        argv = [
+            a.format(
+                graph=triangle_file, out=out, dir=tmp_path,
+                missing=missing / "x.json", missing_csv=missing / "op.csv",
+            )
+            for a in argv
+        ]
         code, stdout, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and stdout == ""

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from util import loop_graph_from_json_obj, pi_circulation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_spectral import cycle_sums
+from util import bfs_hops, loop_graph_from_json_obj, pi_circulation
 
 from dirlap import (
     DirectedGraph,
@@ -21,8 +25,10 @@ from dirlap import (
     SchemaViolationError,
     SelfLoopError,
     boundaries,
+    build_filtration,
     build_graph,
     check_kirchhoff,
+    cheeger_heuristic,
     connectivity,
     corpus,
     gen_cycle,
@@ -30,12 +36,15 @@ from dirlap import (
     gen_random_circulation,
     graph_from_json_obj,
     graph_to_json_obj,
+    infinity_profile,
     load_graph,
     save_graph,
     schrodinger_potential,
     subset_array,
+    verify_graph,
 )
 from dirlap._io import dump_json
+from dirlap.graph import hop_distances
 
 
 def triangle():
@@ -307,6 +316,80 @@ class TestConnectivity:
         )
         und, strong = connectivity(g)
         assert und and not strong
+
+
+def walks(g):
+    """(arcs argument, the same steps as (tail, head) pairs) for the
+    undirected, forward and backward walks of g."""
+    forward = list(zip(g.edge_from.tolist(), g.edge_to.tolist()))
+    backward = [(v, u) for u, v in forward]
+    return {
+        "undirected": (None, forward + backward),
+        "forward": ((g.edge_from, g.edge_to), forward),
+        "backward": ((g.edge_to, g.edge_from), backward),
+    }
+
+
+def one_way_ladder(blocks):
+    """Two-vertex cycles 2j <-> 2j + 1 joined in one direction only by the
+    arcs 2j + 1 -> 2j + 2: connected, unbalanced, and not strongly
+    connected when there are two blocks or more."""
+    edges = [(2 * j, 2 * j + 1, 1.0 + j) for j in range(blocks)]
+    edges += [(2 * j + 1, 2 * j, 2.0) for j in range(blocks)]
+    edges += [(2 * j + 1, 2 * j + 2, 0.5) for j in range(blocks - 1)]
+    return build_graph([1.0] * (2 * blocks), edges)
+
+
+def disjoint_union(g, h):
+    shift = g.n
+    return build_graph(
+        [*g.measure.tolist(), *h.measure.tolist()],
+        [*g.edges(), *((u + shift, v + shift, w) for u, v, w in h.edges())],
+    )
+
+
+class TestHopDistances:
+    def check_against_oracle(self, g):
+        for name, (arcs, pairs) in walks(g).items():
+            for root in range(g.n):
+                got = hop_distances(g, root, arcs)
+                assert got.dtype == np.int64
+                assert got.tolist() == bfs_hops(g.n, pairs, root), (name, root)
+        reach = {
+            name: [bfs_hops(g.n, pairs, root) for root in range(g.n)]
+            for name, (_, pairs) in walks(g).items()
+        }
+        connected = min(reach["undirected"][0]) >= 0
+        strong = all(min(dist) >= 0 for dist in reach["forward"])
+        assert connectivity(g) == (connected, strong)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(g=cycle_sums(), other=st.none() | cycle_sums())
+    def test_circulations_match_oracle(self, g, other):
+        # a second circulation beside the first leaves every walk disconnected
+        self.check_against_oracle(g if other is None else disjoint_union(g, other))
+
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_one_way_ladder_matches_oracle(self, blocks):
+        g = one_way_ladder(blocks)
+        self.check_against_oracle(g)
+        last = g.n - 1
+        assert hop_distances(g, 0, (g.edge_from, g.edge_to)).tolist() == list(range(g.n))
+        assert hop_distances(g, last, (g.edge_to, g.edge_from)).tolist() == (
+            list(range(g.n))[::-1]
+        )
+        assert connectivity(g) == (True, blocks == 1)
+
+
+def test_graph_keeps_only_its_fields_and_flows():
+    g = gen_random_circulation(12, 6, seed=3)
+    verify_graph(g)
+    infinity_profile(g, build_filtration(g, 0))
+    cheeger_heuristic(g, range(1, 12))
+    assert sorted(vars(g)) == sorted(
+        ["n", "measure", "edge_from", "edge_to", "edge_weight", "beta_plus", "beta_minus"]
+    )
+    assert g.weight_matrix is not g.weight_matrix
 
 
 class TestJsonRoundTrip:
@@ -588,6 +671,33 @@ class TestWriter:
                               edge_weight=np.zeros(0))
             save_graph(g, tmp_path / "g.json")
             assert (tmp_path / "g.json").read_text() == dump_json(graph_to_json_obj(g))
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+    def test_file_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "g.json"
+        path.write_text("")
+        os.chmod(path, 0o644)
+        old = os.umask(umask)
+        try:
+            save_graph(triangle(), tmp_path / "new.json")
+            save_graph(triangle(), path)
+        finally:
+            os.umask(old)
+        for written in (tmp_path / "new.json", path):
+            assert written.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.parametrize("target", ["directory", "missing/g.json"])
+    def test_unwritable_path_is_an_invalid_argument(self, tmp_path, target):
+        work = tmp_path / "work"
+        (work / "directory").mkdir(parents=True)
+        path = work / target
+        with pytest.raises(InvalidArgumentError, match="cannot write") as exc:
+            save_graph(triangle(), path)
+        assert str(path) in str(exc.value)
+        # the temp file is removed
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory", "work"]
 
 
 def test_dataclass_is_frozen():

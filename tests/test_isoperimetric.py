@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import cycle_sums
-from util import brute_cheeger, float_cheeger, pi_circulation, rational_cheeger
+from util import (
+    brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger
+)
 
 from dirlap import (
     NORMALIZATIONS,
@@ -30,6 +32,7 @@ from dirlap import (
     m_M_constants,
 )
 from dirlap._io import dump_json
+from dirlap.isoperimetric import _prefix_sweep, _toggle_deltas
 
 
 def subset_ratio(g, members, normalization):
@@ -241,7 +244,7 @@ class TestExactMemory:
     def test_k22_call_holds_no_table(self):
         # the root complement of the n = 23 verify graph
         g = gen_random_circulation(23, 4, seed=4)
-        g.adjacency, g.beta_plus  # built before tracing
+        g.beta_plus  # built before tracing
         assert traced_peak(cheeger_exact, g, range(1, 23)) <= 2**17
 
     def test_dense_16_vertex_call_holds_no_table(self):
@@ -255,8 +258,47 @@ class TestExactMemory:
                 for u, v in ((a, b), (b, a))
             ],
         )
-        g.adjacency, g.beta_plus  # built before tracing
+        g.beta_plus  # built before tracing
         assert traced_peak(cheeger_exact, g, range(1, 17), "beta_plus") <= 2**17
+
+
+class TestEdgeOrderSums:
+    """The heuristic's per-vertex sums add each vertex's edge terms in
+    edge-list order, so its bits do not depend on how the sums are laid
+    out. pi-scaled weights make every such sum round."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_toggle_deltas_add_in_edge_order(self, seed):
+        g = pi_circulation(30, seed)
+        rng = np.random.default_rng(seed)
+        tail, head = rng.random((2, g.edge_from.size)) < 0.5
+        expected = loop_toggle_deltas(g, tail, head)
+        assert _toggle_deltas(g, tail, head).tobytes() == np.array(expected).tobytes()
+        none = [False] * g.edge_from.size
+        assert _toggle_deltas(g, False, False).tobytes() == np.array(
+            loop_toggle_deltas(g, none, none)
+        ).tobytes()
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prefix_sweep_adds_in_edge_order(self, seed, normalization):
+        g = pi_circulation(30, seed)
+        denom_vals = g.measure if normalization == "measure" else g.beta_plus
+        ordering = np.random.default_rng(seed).permutation(g.n)[: 10 + 5 * seed]
+        rank = {v: i for i, v in enumerate(ordering.tolist())}
+        # an end crosses before its vertex joins when the other end joined earlier
+        tail = [rank.get(v, g.n) < rank.get(u, g.n) for u, v, _ in g.edges()]
+        head = [rank.get(u, g.n) < rank.get(v, g.n) for u, v, _ in g.edges()]
+        deltas = loop_toggle_deltas(g, tail, head)
+        cut, denom, cuts, denoms = 0.0, 0.0, [], []
+        for v in ordering.tolist():
+            cut += deltas[v]
+            denom += float(denom_vals[v])
+            cuts.append(cut)
+            denoms.append(denom)
+        got_cuts, got_denoms = _prefix_sweep(g, ordering, denom_vals)
+        assert got_cuts.tobytes() == np.array(cuts).tobytes()
+        assert got_denoms.tobytes() == np.array(denoms).tobytes()
 
 
 class TestCheegerHeuristic:

@@ -8,6 +8,7 @@ from the package.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -199,6 +200,35 @@ def full_sweep_boundary(op, n_angles):
                 break
         points[k] = v.conj() @ (a @ v)
     return angles, points
+
+
+def bfs_hops(n, arcs, root):
+    """Reference hop counts from root over the (tail, head) pairs of arcs,
+    by a deque breadth-first search; -1 where root does not reach."""
+    succ = [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u].append(v)
+    dist = [-1] * n
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def loop_toggle_deltas(g, tail_crossed, head_crossed):
+    """Reference per-vertex toggle sums: one Python float addition per edge
+    end, tail then head, in edge-list order, with the edge's weight negated
+    at an end whose flag is set."""
+    out = [0.0] * g.n
+    for i, (u, v, w) in enumerate(g.edges()):
+        out[u] += -w if tail_crossed[i] else w
+        out[v] += -w if head_crossed[i] else w
+    return out
 
 
 def pi_circulation(n, seed):
