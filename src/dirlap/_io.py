@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import tempfile
@@ -70,6 +71,28 @@ def read_json(path: str):
     return parse_json(read_text(path), path)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised inside as InvalidArgumentError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def check_writable(path: str) -> None:
+    """Raise write_text_atomic's InvalidArgumentError now, before any work,
+    if path names a directory (an empty path or one ending in a separator
+    does too) or no temp file can be made beside it. Leaves nothing behind
+    and never creates path itself."""
+    with _writing(path):
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.path.abspath(path)))
+        os.close(fd)
+        os.unlink(tmp)
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory + rename.
 
@@ -77,11 +100,10 @@ def write_text_atomic(path: str, text: str) -> None:
     a plain write would give it under the current umask. Raises
     InvalidArgumentError naming path when it cannot be written.
     """
-    directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.path.abspath(path)))
         try:
             with os.fdopen(fd, "w") as fh:
                 os.fchmod(fd, 0o666 & ~umask)
@@ -91,8 +113,6 @@ def write_text_atomic(path: str, text: str) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def dump_json(obj) -> str:

@@ -14,7 +14,8 @@ import sys
 from operator import attrgetter
 
 from ._io import (
-    INTEGER, dump_csv, dump_json, json_typed, parse_json, read_json, read_text, write_text_atomic
+    INTEGER, check_writable, dump_csv, dump_json, json_typed, parse_json, read_json, read_text,
+    write_text_atomic,
 )
 from .errors import DirlapError, InputParseError, InvalidArgumentError
 from .generators import (
@@ -265,6 +266,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an output that cannot be written fails before the work, not after
+        if getattr(args, "out", None) is not None:
+            check_writable(args.out)
+        if getattr(args, "dump_operator", None):
+            check_writable(args.dump_operator)
         return _COMMANDS[args.command](args)
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,13 +38,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DisconnectedError,
-    EmptyComplementError,
-    InvalidArgumentError,
-)
+from .errors import DisconnectedError, InvalidArgumentError
 from .graph import DirectedGraph, hop_distances, subset_array
-from .operators import assemble, dirichlet, to_euclidean
+from .operators import Operator, assemble, dirichlet, to_euclidean
 from .spectral import converging, hermitian_part, nu
 
 NORMALIZATIONS = ("measure", "beta_plus")
@@ -329,16 +325,26 @@ def m_M_constants(g: DirectedGraph, omega: Iterable[int]) -> tuple[float, float]
     return float(ratios.min()), float(ratios.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Strictly nested connected vertex sets exhausting the graph."""
+    """Strictly nested connected vertex sets exhausting the graph, as each
+    vertex's hop distance from root: level r is dist <= r, its complement
+    dist > r; dist takes every value 0..max, as hop distances do."""
 
     root: int
-    levels: tuple[tuple[int, ...], ...]
+    dist: np.ndarray
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex ids of each level, ascending."""
+        return tuple(
+            tuple(np.flatnonzero(self.dist <= r).tolist()) for r in range(int(self.dist.max()) + 1)
+        )
 
 
 def build_filtration(g: DirectedGraph, root: int) -> Filtration:
-    """Balls of increasing radius around root in the undirected skeleton.
+    """Balls of increasing radius around root in the undirected skeleton,
+    as the read-only array of hop distances from root.
 
     Each ball induces a connected subgraph, consecutive balls are strictly
     nested, and the last one is the whole vertex set. Requires a connected
@@ -349,10 +355,8 @@ def build_filtration(g: DirectedGraph, root: int) -> Filtration:
     dist = hop_distances(g, root)
     if np.any(dist < 0):
         raise DisconnectedError("filtration needs a connected graph")
-    levels = []
-    for r in range(int(dist.max()) + 1):
-        levels.append(tuple(int(v) for v in np.flatnonzero(dist <= r)))
-    return Filtration(root=root, levels=tuple(levels))
+    dist.flags.writeable = False
+    return Filtration(root=root, dist=dist)
 
 
 @dataclass(frozen=True)
@@ -395,35 +399,40 @@ def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
 
     The Cheeger constants of every complement are exact, whatever its
     size, so ess_lower_bound = m_c * h_tilde_c^2 / 8 is a proven lower
-    bound. Levels whose complement is empty (the final exhausting level)
-    are skipped; at least one usable level must remain.
+    bound. Every level but the last has a non-empty complement, dist > r,
+    and gets a row; the filtration needs at least 2 levels.
     """
-    if len(filt.levels) < 2:
+    return _profile(g, filt, assemble(g, "delta"), {})
+
+
+def _profile(g: DirectedGraph, filt: Filtration, delta: Operator, known: dict) -> InfinityProfile:
+    """infinity_profile over delta, g's assembled operator. known maps the
+    ids of each complement solved so far to its (m_c, M_c, h_c, h_tilde_c,
+    nu_dirichlet); the others are solved and added to it."""
+    top = int(filt.dist.max())
+    if top < 1:
         raise InvalidArgumentError("filtration needs at least 2 levels")
-    delta = assemble(g, "delta")
-    all_ids = frozenset(range(g.n))
     rows: list[LevelProfile] = []
-    for li, level in enumerate(filt.levels, start=1):
-        comp = np.asarray(sorted(all_ids.difference(level)), dtype=np.int64)
-        if not comp.size:
-            continue
-        m_c, M_c = m_M_constants(g, comp)
-        h, ht = _exact(g, comp)
-        nu_d = nu(dirichlet(delta, comp))
+    for r in range(top):
+        comp = np.flatnonzero(filt.dist > r)
+        key = tuple(comp.tolist())
+        if key not in known:
+            m_c, M_c = m_M_constants(g, comp)
+            h, ht = _exact(g, comp)
+            known[key] = m_c, M_c, h.value, ht.value, nu(dirichlet(delta, comp))
+        m_c, M_c, h, ht, nu_d = known[key]
         rows.append(
             LevelProfile(
-                level=li,
+                level=r + 1,
                 complement_size=comp.size,
                 m_c=m_c,
                 M_c=M_c,
-                h_c=h.value,
-                h_tilde_c=ht.value,
+                h_c=h,
+                h_tilde_c=ht,
                 nu_dirichlet=nu_d,
-                ess_lower_bound=m_c * ht.value**2 / 8.0,
+                ess_lower_bound=m_c * ht**2 / 8.0,
             )
         )
-    if not rows:
-        raise EmptyComplementError("every filtration level has an empty complement")
     m_seq = [r.m_c for r in rows]
     heavy = len(rows) >= 2 and _nondecreasing(m_seq) and m_seq[-1] >= 10.0 * m_seq[0]
     return InfinityProfile(levels=tuple(rows), heavy_end=heavy)

@@ -20,7 +20,9 @@ from .generators import SplitMix64, _draw, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
     Filtration,
+    InfinityProfile,
     _exact,
+    _profile,
     build_filtration,
     infinity_profile,
     m_M_constants,
@@ -217,6 +219,7 @@ def _isoperimetric(
     instance: str,
     delta: Operator,
     normalized: Operator,
+    known: dict,
     with_bounds: bool = False,
 ) -> list[TheoremReport]:
     """The Dirichlet bounds (if with_bounds), the Cheeger sandwich and the
@@ -226,7 +229,8 @@ def _isoperimetric(
     One solve of each restriction's Hermitian part gives its extreme
     eigenvalues: for the plain one, the bottom one is both nu_m and rho,
     the inf of Re over the numerical range, and the top one is sigma, the
-    sup; for the normalized one, the bottom one is nu_t.
+    sup; for the normalized one, the bottom one is nu_t. The subset's
+    (m, M, h, ht, nu_m) go into known, keyed by its ids, for _profile.
     """
     h, ht = (res.value for res in _exact(g, idx))
     m_c, M_c = m_M_constants(g, idx)
@@ -234,6 +238,7 @@ def _isoperimetric(
     op_t = dirichlet(normalized, idx)
     nu_m, sigma = _hermitian_extremes(op_m)
     nu_t, top_t = _hermitian_extremes(op_t)
+    known[tuple(idx.tolist())] = m_c, M_c, h, ht, nu_m
     sandwich = [
         (h * h / 8.0, M_c * nu_m),
         (M_c * nu_m, 0.5 * M_c * h),
@@ -277,7 +282,7 @@ def verify_cheeger_sandwich(
 
     A call also evaluates the Fujiwara envelope; verify_graph keeps both.
     """
-    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g))[0]
+    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g), {})[0]
 
 
 def verify_fujiwara(
@@ -295,7 +300,7 @@ def verify_fujiwara(
 
     A call also evaluates the Cheeger sandwich; verify_graph keeps both.
     """
-    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g))[1]
+    return _isoperimetric(g, subset_array(g, omega), instance, *_operators(g), {})[1]
 
 
 def verify_ess_bound_consistency(
@@ -310,7 +315,11 @@ def verify_ess_bound_consistency(
     nondecreasing, and each level must satisfy the isoperimetric bound
     m_c ht_c^2 / 8 <= nu.
     """
-    profile = infinity_profile(g, filt)
+    return _ess_bounds(infinity_profile(g, filt), filt.root, instance)
+
+
+def _ess_bounds(profile: InfinityProfile, root: int, instance: str) -> TheoremReport:
+    """verify_ess_bound_consistency on the profile of a filtration from root."""
     if len(profile.levels) < 2:
         raise EmptyComplementError("need at least 2 levels with non-empty complement")
     pairs = []
@@ -320,7 +329,7 @@ def verify_ess_bound_consistency(
         pairs.append((row.ess_lower_bound, row.nu_dirichlet))
     return _report(
         "essential_spectrum_lower_bound",
-        f"{instance}|root={filt.root}|levels={len(profile.levels)}",
+        f"{instance}|root={root}|levels={len(profile.levels)}",
         pairs,
     )
 
@@ -336,10 +345,10 @@ def _selected_subsets(g: DirectedGraph, filt: Filtration | None) -> list[tuple[i
     single vertices, then the first filtration levels and their complements."""
     subsets: list[tuple[int, ...]] = [(0,), (g.n // 2,), (g.n - 1,)]
     if filt is not None:
-        for level in filt.levels[:-1][:4]:
-            subsets.append(level)
-            subsets.append(tuple(sorted(set(range(g.n)) - set(level))))
-    return [sub for sub in dict.fromkeys(subsets) if 0 < len(sub) < g.n]
+        for r in range(min(4, int(filt.dist.max()))):
+            subsets.append(tuple(np.flatnonzero(filt.dist <= r).tolist()))
+            subsets.append(tuple(np.flatnonzero(filt.dist > r).tolist()))
+    return list(dict.fromkeys(subsets))
 
 
 def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
@@ -369,17 +378,20 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     else:
         subsets = _selected_subsets(g, filt)
     bounds, isoperimetric = [], []
+    known: dict = {}
     for omega in subsets:
         idx = subset_array(g, omega)
         # on a connected graph every proper subset has a vertex boundary
         with_bounds = idx.size < g.n and (connected or bool(boundaries(g, idx)[0]))
-        *head, sandwich, fujiwara = _isoperimetric(g, idx, name, delta, normalized, with_bounds)
+        *head, sandwich, fujiwara = _isoperimetric(
+            g, idx, name, delta, normalized, known, with_bounds
+        )
         bounds += head
         isoperimetric += [sandwich, fujiwara]
     reports += bounds + isoperimetric
     # every level but the last (the whole graph) has a non-empty complement
-    if filt is not None and len(filt.levels) >= 3:
-        reports.append(verify_ess_bound_consistency(g, filt, name))
+    if filt is not None and filt.dist.max() >= 2:
+        reports.append(_ess_bounds(_profile(g, filt, delta, known), filt.root, name))
     return reports
 
 

@@ -696,6 +696,34 @@ class TestErrorPaths:
         assert err.startswith("error:") and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "work, argv",
+        [
+            ("verify_graph", ("verify", "{graph}", "--out", "{path}")),
+            ("infinity_profile", ("infinity", "{graph}", "--out", "{path}")),
+            ("eig", ("spectrum", "{graph}", "--out", "{path}")),
+            ("numerical_range_boundary", ("numrange", "{graph}", "--out", "{path}")),
+            ("assemble", ("spectrum", "{graph}", "--dump-operator", "{path}")),
+        ],
+        ids=["verify", "infinity", "spectrum", "numrange", "dump-operator"],
+    )
+    @pytest.mark.parametrize("target", ["missing/x.json", "directory", "file.json/"])
+    def test_unwritable_output_fails_before_the_work(
+        self, triangle_file, tmp_path, capsys, monkeypatch, work, argv, target
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(f"dirlap.cli.{work}", refuse)
+        where = tmp_path / "out"
+        (where / "directory").mkdir(parents=True)
+        path = os.path.join(where, target)
+        code, stdout, err = run(capsys, *[a.format(graph=triangle_file, path=path) for a in argv])
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        # neither the target nor a temp file is left behind
+        assert [p.name for p in where.rglob("*")] == ["directory"]
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import cycle_sums
 from util import (
-    brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger
+    bfs_hops, brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger
 )
 
 from dirlap import (
     NORMALIZATIONS,
     DisconnectedError,
-    EmptyComplementError,
     SchemaViolationError,
     Filtration,
     build_filtration,
@@ -410,6 +409,36 @@ class TestFiltration:
         assert filt.levels[1] == (0, 1, 2)
         assert filt.levels[2] == tuple(range(7))
 
+    @staticmethod
+    def assert_reference_balls(g, root):
+        """Levels are the balls of a deque BFS over the undirected skeleton,
+        and the complement dist > r is the set difference from the level."""
+        filt = build_filtration(g, root)
+        arcs = list(zip(g.edge_from.tolist(), g.edge_to.tolist()))
+        hops = bfs_hops(g.n, arcs + [(v, u) for u, v in arcs], root)
+        balls = tuple(
+            tuple(v for v in range(g.n) if hops[v] <= r) for r in range(max(hops) + 1)
+        )
+        assert filt.root == root and filt.levels == balls
+        for r, level in enumerate(balls):
+            assert np.flatnonzero(filt.dist > r).tolist() == sorted(set(range(g.n)) - set(level))
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(g=cycle_sums(), data=st.data())
+    def test_levels_are_reference_balls(self, g, data):
+        self.assert_reference_balls(g, data.draw(st.integers(0, g.n - 1)))
+
+    def test_tree_levels_are_reference_balls(self):
+        g = gen_symmetric_tree(3, 2, 2.0)
+        for root in (0, 4, g.n - 1):
+            self.assert_reference_balls(g, root)
+
+    def test_dist_is_read_only(self):
+        filt = build_filtration(gen_cycle(5), 0)
+        assert not filt.dist.flags.writeable
+        with pytest.raises(ValueError):
+            filt.dist[0] = 1
+
     def test_rejects_bad_root(self):
         with pytest.raises(ValueError):
             build_filtration(gen_cycle(3), 3)
@@ -493,13 +522,7 @@ class TestInfinityProfile:
     def test_rejects_short_filtration(self):
         g = gen_cycle(3)
         with pytest.raises(ValueError):
-            infinity_profile(g, Filtration(root=0, levels=((0, 1, 2),)))
-
-    def test_rejects_all_empty_complements(self):
-        g = gen_cycle(3)
-        filt = Filtration(root=0, levels=((0, 1, 2), (0, 1, 2)))
-        with pytest.raises(EmptyComplementError):
-            infinity_profile(g, filt)
+            infinity_profile(g, Filtration(root=0, dist=np.zeros(3, int)))
 
     def test_profile_values_are_plain_floats(self):
         g = gen_layered_heavy(3, 3, gamma=2.0)

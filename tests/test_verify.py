@@ -43,7 +43,7 @@ from dirlap import (
     verify_green,
     verify_kyfan,
 )
-from dirlap import verify
+from dirlap import isoperimetric, operators, verify
 from dirlap._io import dump_json
 from dirlap.generators import _draw
 from dirlap.verify import _GREEN_SEED, _report
@@ -331,9 +331,46 @@ class TestEssConsistency:
 
     def test_needs_two_usable_levels(self):
         g = gen_cycle(3)
-        filt = Filtration(root=0, levels=((0,), (0, 1, 2)))
+        filt = Filtration(root=0, dist=np.array([0, 1, 1]))
         with pytest.raises(EmptyComplementError):
             verify_ess_bound_consistency(g, filt)
+
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            ("c23", gen_random_circulation(23, 4, seed=4)),
+            ("layered", gen_layered_heavy(6, 4, gamma=2.0)),
+            ("c30", gen_random_circulation(30, 15, seed=1)),
+        ],
+    )
+    def test_verify_graph_reads_the_same_profile(self, name, g):
+        # verify_graph's chain reads the constants of the complements it
+        # has already checked; the public check solves them all afresh
+        reports = verify_graph(g, name)
+        [ess] = [r for r in reports if r.theorem_id == "essential_spectrum_lower_bound"]
+        expected = verify_ess_bound_consistency(g, build_filtration(g, 0), name)
+        assert dump_json(ess) == dump_json(expected)
+
+    def test_verify_graph_solves_each_subset_once(self, monkeypatch):
+        solved, kinds = [], []
+        exact, assemble_ = isoperimetric._exact, operators.assemble
+
+        def counting_exact(g, idx, *args):
+            solved.append(tuple(idx.tolist()))
+            return exact(g, idx, *args)
+
+        def counting_assemble(g, kind):
+            kinds.append(kind)
+            return assemble_(g, kind)
+
+        for module in (isoperimetric, verify):
+            monkeypatch.setattr(module, "_exact", counting_exact)
+        for module in (isoperimetric, operators, verify):
+            monkeypatch.setattr(module, "assemble", counting_assemble)
+        verify_graph(gen_random_circulation(23, 4, seed=4))
+        # 8 selected subsets, whose 3 filtration complements the chain reads
+        assert len(solved) == len(set(solved)) == 8
+        assert sorted(kinds) == ["delta", "delta", "normalized_delta"]
 
 
 class TestVerifyGraph:
@@ -516,7 +553,7 @@ _TWO_PAIRS = build_graph([1.0] * 4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 
     "reject",
     [
         lambda: cheeger_exact(gen_cycle(3), [0], "volume"),
-        lambda: infinity_profile(gen_cycle(3), Filtration(root=0, levels=((0, 1, 2),))),
+        lambda: infinity_profile(gen_cycle(3), Filtration(root=0, dist=np.zeros(3, int))),
         lambda: verify_dirichlet_bounds(gen_cycle(3), [0, 1, 2]),
         lambda: verify_dirichlet_bounds(_TWO_PAIRS, [0, 1]),
         lambda: eig(np.zeros((2, 3))),
