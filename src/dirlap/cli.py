@@ -27,6 +27,7 @@ from .generators import (
 )
 from .graph import check_kirchhoff, graph_from_json_obj, load_graph, save_graph
 from .isoperimetric import (
+    NORMALIZATIONS,
     build_filtration,
     cheeger_exact,
     cheeger_heuristic,
@@ -51,6 +52,9 @@ _OP_CHOICES = {
     "normalized-prime": "normalized_delta_prime",
     "normalized-h": "normalized_h",
 }
+
+# the solvers of `cheeger --mode`
+_CHEEGER_MODES = {"exact": cheeger_exact, "heuristic": cheeger_heuristic}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,8 +146,7 @@ def _cmd_cheeger(args) -> int:
     omega = _parse_omega(args)
     if omega is None:
         omega = list(range(g.n))
-    solve = {"exact": cheeger_exact, "heuristic": cheeger_heuristic}[args.mode]
-    result = solve(g, omega, args.normalization)
+    result = _CHEEGER_MODES[args.mode](g, omega, args.normalization)
     _emit(dump_json(result), args.out)
     return 0
 
@@ -235,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     omega = p.add_mutually_exclusive_group()
     omega.add_argument("--omega", default=None, help="JSON array of vertex ids (default: all)")
     omega.add_argument("--omega-file", default=None)
-    p.add_argument("--normalization", choices=["measure", "beta_plus"], default="measure")
-    p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
+    p.add_argument("--normalization", choices=NORMALIZATIONS, default="measure")
+    p.add_argument("--mode", choices=_CHEEGER_MODES, default="exact")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the inequality suite, exit 1 on failure")

@@ -34,19 +34,16 @@ heavy ends, where the complements' weight-to-measure ratio blows up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DisconnectedError, InvalidArgumentError
 from .graph import DirectedGraph, hop_distances, subset_array
 from .operators import Operator, assemble, dirichlet, to_euclidean
-from .spectral import converging, hermitian_part, nu
+from .spectral import _hermitian_extremes, converging, hermitian_part
 
 NORMALIZATIONS = ("measure", "beta_plus")
-
-# slack used when checking that the m_c sequence never decreases (heavy_end)
-_MONOTONE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -373,18 +370,16 @@ class LevelProfile:
     ess_lower_bound: float
 
 
-def _nondecreasing(seq: list[float]) -> bool:
-    return all(b >= a - _MONOTONE_SLACK * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
-
-
 @dataclass(frozen=True)
 class InfinityProfile:
     """Per-level complement profiles along a filtration, plus a verdict.
 
-    The m_c and Cheeger sequences are nondecreasing and M_c nonincreasing
-    (infima and suprema over shrinking families). heavy_end is the verdict
-    "the complements' min weight-to-measure ratio grew at least tenfold and
-    never decreased".
+    The m_c and Cheeger sequences never decrease and M_c never increases,
+    exactly: m_c and M_c are the min and max of the same per-vertex floats
+    over shrinking sets, and each constant is the correctly rounded exact
+    minimum over a shrinking family. So heavy_end, the verdict "the
+    complements' min weight-to-measure ratio grew at least tenfold", needs
+    no check that m_c never decreased.
     """
 
     levels: tuple[LevelProfile, ...]
@@ -405,34 +400,44 @@ def infinity_profile(g: DirectedGraph, filt: Filtration) -> InfinityProfile:
     return _profile(g, filt, assemble(g, "delta"), {})
 
 
+class _Dirichlet(NamedTuple):
+    """A subset's extreme outflow-to-measure ratios m and M, its exact
+    constants h (measure) and ht (beta_plus), and nu and sigma, the extreme
+    eigenvalues of the Hermitian part of the restriction of delta to it."""
+
+    m: float
+    M: float
+    h: float
+    ht: float
+    nu: float
+    sigma: float
+
+
+def _subset(
+    g: DirectedGraph, idx: np.ndarray, delta: Operator, known: dict
+) -> tuple[Operator, _Dirichlet]:
+    """The restriction of delta, g's assembled operator, to a valid subset
+    array, and the subset's _Dirichlet data, added to known under its ids."""
+    # solve the constants first, so that the flow network is freed before
+    # the dense restriction is built
+    constants = [res.value for res in _exact(g, idx)]
+    op = dirichlet(delta, idx)
+    data = _Dirichlet(*m_M_constants(g, idx), *constants, *_hermitian_extremes(op))
+    known[tuple(idx.tolist())] = data
+    return op, data
+
+
 def _profile(g: DirectedGraph, filt: Filtration, delta: Operator, known: dict) -> InfinityProfile:
     """infinity_profile over delta, g's assembled operator. known maps the
-    ids of each complement solved so far to its (m_c, M_c, h_c, h_tilde_c,
-    nu_dirichlet); the others are solved and added to it."""
+    ids of each subset solved so far to its _Dirichlet data; the other
+    complements are solved by _subset and added to it."""
     top = int(filt.dist.max())
     if top < 1:
         raise InvalidArgumentError("filtration needs at least 2 levels")
     rows: list[LevelProfile] = []
     for r in range(top):
         comp = np.flatnonzero(filt.dist > r)
-        key = tuple(comp.tolist())
-        if key not in known:
-            m_c, M_c = m_M_constants(g, comp)
-            h, ht = _exact(g, comp)
-            known[key] = m_c, M_c, h.value, ht.value, nu(dirichlet(delta, comp))
-        m_c, M_c, h, ht, nu_d = known[key]
-        rows.append(
-            LevelProfile(
-                level=r + 1,
-                complement_size=comp.size,
-                m_c=m_c,
-                M_c=M_c,
-                h_c=h,
-                h_tilde_c=ht,
-                nu_dirichlet=nu_d,
-                ess_lower_bound=m_c * ht**2 / 8.0,
-            )
-        )
-    m_seq = [r.m_c for r in rows]
-    heavy = len(rows) >= 2 and _nondecreasing(m_seq) and m_seq[-1] >= 10.0 * m_seq[0]
+        d = known.get(tuple(comp.tolist())) or _subset(g, comp, delta, known)[1]
+        rows.append(LevelProfile(r + 1, comp.size, d.m, d.M, d.h, d.ht, d.nu, d.m * d.ht**2 / 8.0))
+    heavy = len(rows) >= 2 and rows[-1].m_c >= 10.0 * rows[0].m_c
     return InfinityProfile(levels=tuple(rows), heavy_end=heavy)

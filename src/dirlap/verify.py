@@ -21,11 +21,10 @@ from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
     Filtration,
     InfinityProfile,
-    _exact,
     _profile,
+    _subset,
     build_filtration,
     infinity_profile,
-    m_M_constants,
 )
 from .operators import (
     Operator,
@@ -137,23 +136,21 @@ def verify_bounded(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
     balance, beta_plus is stationary for the random walk I - A, so the Schur
     test bounds its norm in the beta_plus metric by 1.
     """
-    return _bounded(g, assemble(g, "normalized_delta"), instance)
+    return _bounded(assemble(g, "normalized_delta"), connectivity(g)[0], instance)
 
 
-def _bounded(g: DirectedGraph, op: Operator, instance: str) -> TheoremReport:
-    """verify_bounded on op, the normalized operator of g."""
+def _bounded(op: Operator, connected: bool, instance: str) -> TheoremReport:
+    """verify_bounded on op, the normalized operator of a graph; the kernel
+    is checked only if the graph is connected."""
     walk = Operator(matrix=np.eye(op.size) - op.matrix, metric=op.metric, kind="random_walk")
     pairs = [(operator_norm(op), 2.0), (operator_norm(walk), 1.0)]
-    connected, _ = connectivity(g)
     if connected:
         kdim = kernel_dimension(op)
         pairs.append((float(abs(kdim - 1)), 0.0))
     return _report("norm_disc_kernel", instance, pairs)
 
 
-def verify_kyfan(
-    matrix: np.ndarray, instance: str = "matrix", tolerance: float | None = None
-) -> TheoremReport:
+def verify_kyfan(matrix: np.ndarray, instance: str = "matrix") -> TheoremReport:
     """Partial-sum comparison between Re of eigenvalues and eigenvalues of
     the Hermitian part.
 
@@ -171,7 +168,7 @@ def verify_kyfan(
         pairs.append((float(re_sorted[n - q :].sum()), float(sym_sorted[n - q :].sum())))
     # q = n is an equality: add the reversed inequality
     pairs.append((float(sym_sorted.sum()), float(re_sorted.sum())))
-    return _report("ky_fan_partial_sums", instance, pairs, tolerance)
+    return _report("ky_fan_partial_sums", instance, pairs)
 
 
 def verify_dirichlet_bounds(
@@ -223,41 +220,34 @@ def _isoperimetric(
     with_bounds: bool = False,
 ) -> list[TheoremReport]:
     """The Dirichlet bounds (if with_bounds), the Cheeger sandwich and the
-    Fujiwara envelope of a valid subset array, in that order, from one
-    computation of the data they share: both constants over one network,
-    m and M, and one restriction of delta and of normalized per subset.
-    One solve of each restriction's Hermitian part gives its extreme
-    eigenvalues: for the plain one, the bottom one is both nu_m and rho,
-    the inf of Re over the numerical range, and the top one is sigma, the
-    sup; for the normalized one, the bottom one is nu_t. The subset's
-    (m, M, h, ht, nu_m) go into known, keyed by its ids, for _profile.
+    Fujiwara envelope of a valid subset array, in that order. The plain
+    side comes from _subset, which adds the subset to known: its nu is
+    both nu_m and rho, the inf of Re over the numerical range, and sigma
+    the sup. One solve of the normalized restriction's Hermitian part
+    gives nu_t and its top eigenvalue.
     """
-    h, ht = (res.value for res in _exact(g, idx))
-    m_c, M_c = m_M_constants(g, idx)
-    op_m = dirichlet(delta, idx)
+    op_m, d = _subset(g, idx, delta, known)
     op_t = dirichlet(normalized, idx)
-    nu_m, sigma = _hermitian_extremes(op_m)
     nu_t, top_t = _hermitian_extremes(op_t)
-    known[tuple(idx.tolist())] = m_c, M_c, h, ht, nu_m
     sandwich = [
-        (h * h / 8.0, M_c * nu_m),
-        (M_c * nu_m, 0.5 * M_c * h),
-        (ht * ht / 8.0, nu_t),
-        (nu_t, 0.5 * ht),
-        (m_c * ht * ht / 8.0, nu_m),
+        (d.h * d.h / 8.0, d.M * d.nu),
+        (d.M * d.nu, 0.5 * d.M * d.h),
+        (d.ht * d.ht / 8.0, nu_t),
+        (nu_t, 0.5 * d.ht),
+        (d.m * d.ht * d.ht / 8.0, d.nu),
     ]
-    s = float(np.sqrt(max(0.0, 4.0 - ht * ht)))
+    s = float(np.sqrt(max(0.0, 4.0 - d.ht * d.ht)))
     f = _draw(SplitMix64(_FUJIWARA_SEED), _FUJIWARA_VECTORS, idx.size)
     two_re_lam = quadratic_form(op_m, f) / metric_inner(op_m.metric, f, f).real
     r = quadratic_form(op_t, f) / metric_inner(op_t.metric, f, f).real
     # the worst vector of each side; argmin takes the first on ties
-    low = int(np.argmin(two_re_lam - m_c * r))
-    high = int(np.argmin(M_c * r - two_re_lam))
+    low = int(np.argmin(two_re_lam - d.m * r))
+    high = int(np.argmin(d.M * r - two_re_lam))
     fujiwara = [
-        (m_c * (2.0 - s), 2.0 * nu_m),
-        (2.0 * sigma, M_c * (2.0 + s)),
-        (m_c * r[low], two_re_lam[low]),
-        (two_re_lam[high], M_c * r[high]),
+        (d.m * (2.0 - s), 2.0 * d.nu),
+        (2.0 * d.sigma, d.M * (2.0 + s)),
+        (d.m * r[low], two_re_lam[low]),
+        (two_re_lam[high], d.M * r[high]),
     ]
     tag = f"{instance}|omega={_omega_tag(idx)}"
     reports = [_bounds(op_t, nu_t, top_t, tag)] if with_bounds else []
@@ -366,12 +356,12 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     and complements are checked whatever their size.
     """
     delta, normalized = _operators(g)
+    connected, _ = connectivity(g)
     reports = [
         verify_green(g, name),
-        _bounded(g, normalized, name),
+        _bounded(normalized, connected, name),
         verify_kyfan(to_euclidean(normalized), f"{name}|normalized_delta"),
     ]
-    connected, _ = connectivity(g)
     filt = build_filtration(g, 0) if connected else None
     if g.n <= _EXHAUSTIVE_LIMIT:
         subsets = _proper_subsets(g.n, min(_SANDWICH_SIZE_CAP, g.n))

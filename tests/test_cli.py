@@ -797,3 +797,25 @@ def test_verify_is_identical_across_blas_threads(tmp_path):
         hashlib.sha256(outputs[0]).hexdigest()
         == "7376d427b1f8400e9a992ad52542887b8a1411bf84bbbac0d8546f80683e7540"
     )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_layered_heavy(25, 4, 2.0), gen_random_circulation(100, 50, 1)],
+    ids=["layered25", "c100"],
+)
+def test_infinity_is_identical_across_blas_threads(tmp_path, g):
+    save_graph(g, tmp_path / "g.json")
+    outputs = []
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "dirlap", "infinity", "g.json"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=package_env(OPENBLAS_NUM_THREADS=threads),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].startswith(b"level,m_c,")
+    assert outputs[0] == outputs[1]

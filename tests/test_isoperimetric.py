@@ -468,6 +468,31 @@ class TestInfinityProfile:
         assert not prof.heavy_end
         assert prof.sequence("m_c") == [2.0] * len(prof.levels)
 
+    @staticmethod
+    def assert_monotone(g):
+        """Along the filtrations from three roots, m_c, h_c and h_tilde_c
+        never decrease and M_c never increases, compared exactly: each is a
+        min, max or correctly rounded minimum over a shrinking family, and
+        heavy_end reads only the first and last m_c."""
+        for root in (0, g.n // 2, g.n - 1):
+            levels = infinity_profile(g, build_filtration(g, root)).levels
+            for a, b in zip(levels, levels[1:]):
+                assert a.m_c <= b.m_c and a.M_c >= b.M_c, (root, a, b)
+                assert a.h_c <= b.h_c and a.h_tilde_c <= b.h_tilde_c, (root, a, b)
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(3, 24), cycles=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_circulation_profiles_are_monotone(self, n, cycles, seed):
+        self.assert_monotone(gen_random_circulation(n, cycles, seed))
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_layered_heavy(6, 4, gamma) for gamma in (1.0, 1.5, 2.0)]
+        + [gen_symmetric_tree(3, 2, 2.0)],
+    )
+    def test_layered_and_tree_profiles_are_monotone(self, g):
+        self.assert_monotone(g)
+
     def test_ess_lower_bound_below_dirichlet_gap(self):
         g = gen_layered_heavy(4, 4, gamma=2.0)
         prof = infinity_profile(g, build_filtration(g, 0))

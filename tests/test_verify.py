@@ -363,8 +363,7 @@ class TestEssConsistency:
             kinds.append(kind)
             return assemble_(g, kind)
 
-        for module in (isoperimetric, verify):
-            monkeypatch.setattr(module, "_exact", counting_exact)
+        monkeypatch.setattr(isoperimetric, "_exact", counting_exact)
         for module in (isoperimetric, operators, verify):
             monkeypatch.setattr(module, "assemble", counting_assemble)
         verify_graph(gen_random_circulation(23, 4, seed=4))
@@ -431,8 +430,8 @@ class TestVerifyGraph:
             solved.append((tuple(idx.tolist()), tuple(normalizations)))
             return exact(g, idx, normalizations)
 
-        exact = verify._exact
-        monkeypatch.setattr(verify, "_exact", counting)
+        exact = isoperimetric._exact
+        monkeypatch.setattr(isoperimetric, "_exact", counting)
         reports = verify_graph(gen_random_circulation(6, 3, seed=1))
         sandwich = [r for r in reports if r.theorem_id == "cheeger_sandwich"]
         assert len(solved) == len(set(solved)) == len(sandwich) == 2**6 - 1
@@ -442,21 +441,27 @@ class TestVerifyGraph:
         # n = 23: 8 selected subsets. Their Dirichlet bounds, sandwich and
         # Fujiwara checks share m and M, one restriction per operator kind
         # and one solve per restriction; the general eigensolve runs once
-        # per bounds report and once for Ky Fan
+        # per bounds report and once for Ky Fan, and the connectivity walk
+        # once per graph
         calls = []
 
         def counting(name, fn):
             def wrapper(*args):
-                # args is (graph, subset), (operator, subset) or (operator,)
+                # args is (graph, subset), (operator, subset), (operator,)
+                # or (graph,)
                 subset = tuple(args[1].tolist()) if len(args) == 2 else None
                 calls.append((name, getattr(args[0], "kind", None), subset))
                 return fn(*args)
 
             return wrapper
 
-        assert not hasattr(verify, "nu")
-        for name in ("dirichlet", "m_M_constants", "_hermitian_extremes", "eig"):
-            monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+        # the plain side of each subset is solved in isoperimetric._subset
+        for module, names in (
+            (verify, ("dirichlet", "_hermitian_extremes", "eig", "connectivity")),
+            (isoperimetric, ("dirichlet", "m_M_constants", "_hermitian_extremes")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         reports = verify_graph(gen_random_circulation(23, 4, seed=4))
         for theorem_id in ("dirichlet_eigenvalue_bounds", "cheeger_sandwich"):
             subsets = [r.instance for r in reports if r.theorem_id == theorem_id]
@@ -468,6 +473,7 @@ class TestVerifyGraph:
             ("_hermitian_extremes", "dirichlet(delta)"): 8,
             ("_hermitian_extremes", "dirichlet(normalized_delta)"): 8,
             ("eig", None): 8 + 1,
+            ("connectivity", None): 1,
         }
         # 8 distinct subsets each time
         for key in (
@@ -476,6 +482,12 @@ class TestVerifyGraph:
             ("dirichlet", "normalized_delta"),
         ):
             assert len({c for c in calls if c[:2] == key}) == 8
+
+    def test_verify_binds_no_subset_solver(self):
+        # the constants, m and M and nu of a subset come from
+        # isoperimetric._subset alone
+        for name in ("_exact", "m_M_constants", "nu"):
+            assert not hasattr(verify, name), name
 
     @pytest.mark.parametrize("n, k, seed", [(6, 3, 1), (23, 4, 4)])
     def test_isoperimetric_reports_match_the_public_checks(self, n, k, seed):
