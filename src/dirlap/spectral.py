@@ -98,11 +98,16 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     x^* A x / x^* x is a boundary point with outer normal direction
     e^{-i theta}. Angles are 2 pi k / n_angles, k = 0..n_angles-1.
 
-    H(theta) = cos theta Herm(A) + sin theta Herm(iA), from two matrices
-    formed once. Each solved angle takes the eigenvalues of H(theta) alone
-    and then, for each extreme it fills, the eigenvector by inverse
-    iteration (_extreme_vector). That eigenvalue solve fills every angle it
-    determines:
+    H(theta) = cos theta Herm(A) + i sin theta (A - A^*) / 2, since
+    Herm(iA) = i (A - A^*) / 2. A keeps its own dtype, so for a real A
+    (every operator dirlap builds) both halves are real n x n matrices,
+    formed once and scaled by 1 / ||A||_2. Besides A and the halves, the
+    sweep holds one complex n x n work matrix, which each solved angle
+    fills in place with H(theta); no n x n array is allocated per angle or
+    per extreme besides LAPACK's own copies. Each solved angle takes the
+    eigenvalues of H(theta) alone and then, for each extreme it fills, the
+    eigenvector by inverse iteration (_extreme_vector). That eigenvalue
+    solve fills every angle it determines:
     - the top eigenvalue gives angle k;
     - when n_angles is even, the bottom eigenvalue gives angle
       k + n_angles / 2, because H(theta + pi) = -H(theta);
@@ -123,13 +128,14 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     """
     if n_angles < 4:
         raise InvalidArgumentError(f"need n_angles >= 4, got {n_angles}")
-    euclidean = to_euclidean(op)
-    real = np.isrealobj(euclidean)
-    a = euclidean.astype(complex)
+    a = to_euclidean(op)
+    real = np.isrealobj(a)
     with converging("singular value"):
         # every vector of the zero operator is extreme; any scale will do
         scale = float(np.linalg.norm(a, 2)) or 1.0
-    herm, skew = hermitian_part(a) / scale, hermitian_part(1j * a) / scale
+    # Herm(A) and the skew half (A - A^*) / 2: real for a real A
+    halves = np.stack([hermitian_part(a), 0.5 * (a - a.conj().T)]) / scale
+    h = np.empty(a.shape, dtype=complex)
     start = SplitMix64(_START_SEED).complex_vector(a.shape[0])
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
@@ -138,7 +144,8 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
         for k in range(n_angles):
             if filled[k]:
                 continue
-            h = np.cos(angles[k]) * herm + np.sin(angles[k]) * skew
+            # H(theta) into h; einsum casts the halves in small buffers
+            np.einsum("k,kij->ij", [np.cos(angles[k]), 1j * np.sin(angles[k])], halves, out=h)
             vals = np.linalg.eigvalsh(h)
             ends = [(k, vals[-1] + _SHIFT)]
             if n_angles % 2 == 0:
@@ -147,7 +154,10 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
                 if filled[j]:
                     continue
                 x = _extreme_vector(h, sigma, start)
-                points[j] = (x.conj() @ (a @ x)) / (x.conj() @ x)
+                # two products with the parts of x: a real a @ a complex x
+                # would first copy a to complex
+                ax = a @ x.real + 1j * (a @ x.imag)
+                points[j] = (x.conj() @ ax) / (x.conj() @ x)
                 filled[j] = True
                 mirror = (n_angles - j) % n_angles
                 if real and not filled[mirror]:
@@ -162,20 +172,27 @@ def _extreme_vector(h: np.ndarray, sigma: float, start: np.ndarray) -> np.ndarra
 
     sigma is the computed extreme eigenvalue moved outward by _SHIFT. Solve
     (h - sigma I) x = start, then again from x, until the residual
-    |h x - rho x| with rho = x^* h x is at most _RESIDUAL_ULPS (n + 1) eps.
-    With a shift this small one solve is enough unless start is nearly
-    orthogonal to the eigenvector (Ipsen, SIAM Review 1997).
+    |h x - rho x| with rho = x^* h x is at most _RESIDUAL_ULPS (n + 1) eps;
+    the residual is taken with the shifted matrix, which leaves it
+    unchanged. With a shift this small one solve is enough unless start is
+    nearly orthogonal to the eigenvector (Ipsen, SIAM Review 1997). The
+    shift is applied to the diagonal of h in place, and the diagonal is
+    restored bit for bit on return or on error.
     """
     n = h.shape[0]
-    shifted = h - sigma * np.eye(n)
+    diagonal = h.diagonal().copy()
     bound = _RESIDUAL_ULPS * (n + 1) * _EPS
     x = start
-    for _ in range(_MAX_SOLVES):
-        x = np.linalg.solve(shifted, x)
-        x = x / np.linalg.norm(x)
-        hx = h @ x
-        if np.linalg.norm(hx - (x.conj() @ hx) * x) <= bound:
-            return x
+    try:
+        h.flat[:: n + 1] -= sigma
+        for _ in range(_MAX_SOLVES):
+            x = np.linalg.solve(h, x)
+            x = x / np.linalg.norm(x)
+            hx = h @ x
+            if np.linalg.norm(hx - (x.conj() @ hx) * x) <= bound:
+                return x
+    finally:
+        h.flat[:: n + 1] = diagonal
     raise NoConvergenceError(
         f"inverse iteration did not reach residual {bound!r} in {_MAX_SOLVES} solves"
     )

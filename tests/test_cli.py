@@ -819,3 +819,23 @@ def test_infinity_is_identical_across_blas_threads(tmp_path, g):
         outputs.append(result.stdout)
     assert outputs[0].startswith(b"level,m_c,")
     assert outputs[0] == outputs[1]
+
+
+def test_numrange_is_identical_across_processes(tmp_path):
+    # the sweep refills one np.empty work matrix at every solved angle, so a
+    # read of an entry it never wrote would differ from process to process
+    save_graph(gen_random_circulation(300, 150, 1), tmp_path / "g.json")
+    outputs = []
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, "-m", "dirlap", "numrange", "g.json"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=package_env(OPENBLAS_NUM_THREADS="1"),
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].startswith(b"theta,re,im")
+    assert outputs[0].count(b"\n") == 361
+    assert outputs[0] == outputs[1]

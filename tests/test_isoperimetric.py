@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import cycle_sums
 from util import (
-    bfs_hops, brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger
+    bfs_hops, brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger,
+    traced_peak,
 )
 
 from dirlap import (
@@ -223,17 +223,6 @@ class TestExactRationalBounds:
             else:
                 value, _ = brute_cheeger(g, omega, normalization)
                 assert abs(res.value - value) * 2**52 <= ratio_terms * value
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced by tracemalloc, which sees numpy's buffers, while
-    fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestExactMemory:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import full_sweep_boundary, hull_distance, spectra_mismatch, support_value
+from util import full_sweep_boundary, hull_distance, spectra_mismatch, support_value, traced_peak
 
 import dirlap.spectral
 from dirlap import (
@@ -236,6 +236,70 @@ class TestMirroredSweep:
         with pytest.raises(NoConvergenceError, match="3 solves"):
             numerical_range_boundary(SWEEP_OPERATORS["pi_circulation"](), 8)
         assert len(calls) == 3
+
+
+def work_matrix(op, theta):
+    """H(theta) / ||A||_2, the matrix the sweep's inverse iteration shifts."""
+    a = to_euclidean(op)
+    rotated = np.exp(1j * theta) * a / np.linalg.norm(a, 2)
+    return 0.5 * (rotated + rotated.conj().T)
+
+
+class TestWorkMatrix:
+    """_extreme_vector shifts the diagonal of the sweep's one work matrix in
+    place and leaves the matrix bit for bit as it found it."""
+
+    OPERATORS = {"real": SWEEP_OPERATORS["pi_circulation"], "complex": complex_operator}
+
+    def extremes(self, name):
+        h = work_matrix(self.OPERATORS[name](), 0.7)
+        vals = np.linalg.eigvalsh(h)
+        start = SplitMix64(dirlap.spectral._START_SEED).complex_vector(h.shape[0])
+        shift = dirlap.spectral._SHIFT
+        return h, [vals[-1] + shift, vals[0] - shift], start
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_returns_the_matrix_unchanged(self, name):
+        h, sigmas, start = self.extremes(name)
+        before = h.tobytes()
+        for sigma in sigmas:
+            x = dirlap.spectral._extreme_vector(h, sigma, start)
+            assert h.tobytes() == before
+            hx = h @ x
+            assert np.linalg.norm(hx - (x.conj() @ hx) * x) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_failed_solve_leaves_the_matrix_unchanged(self, monkeypatch, name):
+        h, sigmas, start = self.extremes(name)
+        before = h.tobytes()
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(dirlap.spectral.np.linalg, "solve", singular)
+        for sigma in sigmas:
+            with pytest.raises(np.linalg.LinAlgError):
+                dirlap.spectral._extreme_vector(h, sigma, start)
+            assert h.tobytes() == before
+        with pytest.raises(NoConvergenceError, match="Singular matrix"):
+            numerical_range_boundary(self.OPERATORS[name](), 8)
+
+    def test_unconverged_iteration_leaves_the_matrix_unchanged(self, monkeypatch):
+        h, sigmas, start = self.extremes("real")
+        before = h.tobytes()
+        monkeypatch.setattr(dirlap.spectral, "_RESIDUAL_ULPS", 0)
+        with pytest.raises(NoConvergenceError, match="3 solves"):
+            dirlap.spectral._extreme_vector(h, sigmas[0], start)
+        assert h.tobytes() == before
+
+
+def test_sweep_allocates_no_matrix_per_angle():
+    # A, its two real halves and one complex work matrix are 4 * 8 n^2
+    # bytes, within four complex n x n matrices; a fresh matrix per angle
+    # or extreme, or a complex copy of A, goes past that
+    n = 300
+    op = assemble(gen_random_circulation(n, 150, 1), "normalized_delta")
+    assert traced_peak(numerical_range_boundary, op, 360) <= 4 * 16 * n**2
 
 
 @st.composite

@@ -8,6 +8,7 @@ from the package.
 """
 
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -430,3 +431,14 @@ def loop_graph_from_json_obj(obj):
         n=n, measure=m, edge_from=np.asarray(ef, dtype=np.int64),
         edge_to=np.asarray(et, dtype=np.int64), edge_weight=np.asarray(ew, dtype=float),
     )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc, which sees numpy's buffers, while
+    fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
