@@ -74,7 +74,6 @@ from .operators import (
 )
 from .spectral import (
     NumericalRangeBoundary,
-    Spectrum,
     eig,
     hermitian_part,
     kernel_dimension,

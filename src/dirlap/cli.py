@@ -130,7 +130,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    values = eig(_resolve_operator(args).matrix).eigenvalues
+    values = eig(_resolve_operator(args).matrix)
     _emit(dump_csv([("re", "im"), *zip(values.real, values.imag)]), args.out)
     return 0
 

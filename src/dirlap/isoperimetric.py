@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DisconnectedError, InvalidArgumentError
 from .graph import DirectedGraph, hop_distances, subset_array
 from .operators import Operator, assemble, dirichlet, to_euclidean
-from .spectral import _hermitian_extremes, converging, hermitian_part
+from .spectral import _hermitian_eigh, _hermitian_extremes
 
 NORMALIZATIONS = ("measure", "beta_plus")
 
@@ -138,10 +138,12 @@ def _max_flow(start: list, to: list, rev: list, cap: list, s: int, t: int) -> li
 
 
 def _exact(
-    g: DirectedGraph, idx: np.ndarray, normalizations: Iterable[str] = NORMALIZATIONS
+    g: DirectedGraph, idx: np.ndarray, normalizations: tuple[str, ...] = NORMALIZATIONS
 ) -> tuple[CheegerResult, ...]:
     """cheeger_exact on a sorted array of distinct valid vertex ids, once
-    per normalization, over one network."""
+    per normalization, over one network. An unknown normalization raises
+    before the network is built."""
+    denoms = [_denominator_values(g, name)[idx] for name in normalizations]
     k = idx.size
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(k)
@@ -155,12 +157,11 @@ def _exact(
     pairs = np.flatnonzero(np.bincount(keys, minlength=k * k))
     which = np.searchsorted(pairs, keys)
     w = g.edge_weight
-    ints = _dyadic_integers(
-        np.concatenate([g.measure[idx], g.beta_plus[idx], w[leaving], w[inner]])
-    )
-    denoms = {"measure": ints[:k], "beta_plus": ints[k : 2 * k]}
-    ext = _group_sums(hi[leaving], ints[2 * k : 2 * k + leaving.size], k)
-    pair_weight = _group_sums(which, ints[2 * k + leaving.size :], pairs.size)
+    ints = _dyadic_integers(np.concatenate([*denoms, w[leaving], w[inner]]))
+    # the denominators come first, k integers per normalization
+    off = len(denoms) * k
+    ext = _group_sums(hi[leaving], ints[off : off + leaving.size], k)
+    pair_weight = _group_sums(which, ints[off + leaving.size :], pairs.size)
     u, v = pairs // k, pairs % k
 
     # nodes 0..k-1 are omega, then s and t. The m arcs u -> t, u -> v (one
@@ -183,8 +184,7 @@ def _exact(
     on_q = on_q[order].tolist()
     t_arcs = where[:k].tolist()
 
-    def solve(normalization: str) -> CheegerResult:
-        denom = denoms[normalization]
+    def solve(normalization: str, denom: np.ndarray) -> CheegerResult:
         to_t = list(zip(t_arcs, denom.tolist()))
 
         def cut_and_denom(inside: np.ndarray) -> tuple[int, int]:
@@ -206,7 +206,9 @@ def _exact(
             p, q = cut, d
         return CheegerResult(cut / d, tuple(idx[inside].tolist()), "exact", normalization)
 
-    return tuple(solve(normalization) for normalization in normalizations)
+    return tuple(
+        solve(name, ints[i * k : (i + 1) * k]) for i, name in enumerate(normalizations)
+    )
 
 
 def cheeger_exact(
@@ -215,7 +217,6 @@ def cheeger_exact(
     """Exact constant over the non-empty subsets of omega, at any size, by
     integer minimum cuts (see the module docstring): the exact minimum
     ratio, correctly rounded, and the union of the subsets attaining it."""
-    _denominator_values(g, normalization)  # raises on an unknown normalization
     return _exact(g, subset_array(g, omega), (normalization,))[0]
 
 
@@ -264,8 +265,7 @@ def cheeger_heuristic(
     else:
         kind = "h" if normalization == "measure" else "normalized_h"
         op = dirichlet(assemble(g, kind), idx)
-        with converging():
-            _, vecs = np.linalg.eigh(hermitian_part(to_euclidean(op)))
+        _, vecs = _hermitian_eigh(to_euclidean(op), vectors=True)
         f = vecs[:, 1] / np.sqrt(op.metric)
         order = idx[np.argsort(f, kind="stable")]
 

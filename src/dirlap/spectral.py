@@ -32,13 +32,6 @@ _START_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues sorted by (real part, imaginary part)."""
-
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class NumericalRangeBoundary:
     """Boundary samples of {(A f, f) : ||f|| = 1} for the metric product.
 
@@ -69,8 +62,8 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= _HERMITIAN_RTOL * (1.0 + scale)
 
 
-def eig(matrix: np.ndarray) -> Spectrum:
-    """Dense eigenvalues in a deterministic order.
+def eig(matrix: np.ndarray) -> np.ndarray:
+    """Dense eigenvalues in a deterministic order, as a complex array.
 
     Hermitian (in particular real symmetric) inputs are routed to the
     symmetric solver and come back real and ascending; everything else goes
@@ -86,7 +79,7 @@ def eig(matrix: np.ndarray) -> Spectrum:
         else:
             vals = np.linalg.eigvals(a)
             vals = vals[np.lexsort((vals.imag, vals.real))]
-    return Spectrum(eigenvalues=vals)
+    return vals
 
 
 def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBoundary:
@@ -198,10 +191,18 @@ def _extreme_vector(h: np.ndarray, sigma: float, start: np.ndarray) -> np.ndarra
     )
 
 
+def _hermitian_eigh(a: np.ndarray, vectors: bool = False):
+    """The eigenvalues of Herm(a), ascending; with vectors, the pair
+    (eigenvalues, eigenvectors in columns) that np.linalg.eigh returns.
+    Every dense solve of a Hermitian part runs here."""
+    with converging():
+        h = hermitian_part(a)
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+
+
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:
     """inf and sup Re of the numerical range: the Hermitian part's extreme eigenvalues."""
-    with converging():
-        sym = np.linalg.eigvalsh(hermitian_part(to_euclidean(op)))  # ascending
+    sym = _hermitian_eigh(to_euclidean(op))
     return float(sym[0]), float(sym[-1])
 
 
@@ -223,7 +224,9 @@ def kernel_dimension(op: Operator) -> int:
     The tolerance is relative, so rescaling the operator does not change
     the count. For the normalized Laplacian of a balanced graph this counts
     connected components (1 when connected: the kernel is spanned by
-    constants and the zero eigenvalue is simple).
+    constants and the zero eigenvalue is simple). The count is unreliable
+    once the spread of |lambda| passes about 1e8: the dense solver's
+    absolute error, about eps * max |lambda|, then reaches the threshold.
     """
-    moduli = np.abs(eig(op.matrix).eigenvalues)
+    moduli = np.abs(eig(op.matrix))
     return int(np.count_nonzero(moduli <= _KERNEL_RTOL * moduli.max()))

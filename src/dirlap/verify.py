@@ -35,14 +35,7 @@ from .operators import (
     quadratic_form,
     to_euclidean,
 )
-from .spectral import (
-    _hermitian_extremes,
-    converging,
-    eig,
-    hermitian_part,
-    kernel_dimension,
-    operator_norm,
-)
+from .spectral import _hermitian_eigh, _hermitian_extremes, eig, kernel_dimension, operator_norm
 
 DEFAULT_ABS_TOL = 1e-8
 DEFAULT_REL_TOL = 1e-8
@@ -159,9 +152,8 @@ def verify_kyfan(matrix: np.ndarray, instance: str = "matrix") -> TheoremReport:
     q = n (both equal the real part of the trace).
     """
     a = np.asarray(matrix, dtype=complex)
-    re_sorted = np.sort(eig(a).eigenvalues.real)
-    with converging():
-        sym_sorted = np.linalg.eigvalsh(hermitian_part(a))  # ascending
+    re_sorted = np.sort(eig(a).real)
+    sym_sorted = _hermitian_eigh(a)
     n = a.shape[0]
     pairs = []
     for q in range(1, n + 1):
@@ -196,7 +188,7 @@ def verify_dirichlet_bounds(
 def _bounds(op: Operator, s_low: float, s_high: float, tag: str) -> TheoremReport:
     """verify_dirichlet_bounds on op, a normalized restriction whose
     Hermitian part has the extreme eigenvalues s_low and s_high."""
-    lam = eig(op.matrix).eigenvalues
+    lam = eig(op.matrix)
     re_low = float(lam[0].real)
     re_high = float(lam[-1].real)
     tol = _default_tolerance([re_low, re_high, s_low, s_high, 2.0])

@@ -193,6 +193,27 @@ class TestSpectrum:
         assert code == 0
         assert from_operator == direct
 
+    @pytest.mark.parametrize(
+        "op, size, digest",
+        [
+            ("delta", 796, "c7431d205575db55e378bd870b54398f7860694059966f92ee64420144366dec"),
+            ("normalized", 875, "b9b542f4e6b0bc4b8976828c54f3ee7b5cfbe0e3cc1f21f11b8b3d9083634531"),
+        ],
+    )
+    def test_circulation_23_bytes(self, tmp_path, capsys, op, size, digest):
+        graph = tmp_path / "g.json"
+        code, _, _ = run(
+            capsys,
+            "gen", "circulation", "--n", "23", "--cycles", "4", "--seed", "4", "--out", str(graph),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "spectrum", str(graph), "--op", op)
+        assert code == 0
+        data = out.encode()
+        # recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31, 1 and 2 threads
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_operator_csv_round_trip(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
         save_graph(gen_random_circulation(6, 3, seed=1), graph)

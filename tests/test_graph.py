@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_spectral import cycle_sums
-from util import bfs_hops, loop_graph_from_json_obj, pi_circulation
+from util import bfs_hops, cycle_sums, loop_graph_from_json_obj, pi_circulation
 
 from dirlap import (
     DirectedGraph,

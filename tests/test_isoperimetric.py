@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_spectral import cycle_sums
 from util import (
-    bfs_hops, brute_cheeger, float_cheeger, loop_toggle_deltas, pi_circulation, rational_cheeger,
-    traced_peak,
+    bfs_hops, brute_cheeger, cycle_sums, float_cheeger, loop_toggle_deltas, pi_circulation,
+    rational_cheeger, traced_peak,
 )
 
 from dirlap import (
@@ -18,6 +17,7 @@ from dirlap import (
     DisconnectedError,
     SchemaViolationError,
     Filtration,
+    InvalidArgumentError,
     build_filtration,
     build_graph,
     cheeger_exact,
@@ -30,6 +30,7 @@ from dirlap import (
     infinity_profile,
     m_M_constants,
 )
+from dirlap import isoperimetric
 from dirlap._io import dump_json
 from dirlap.isoperimetric import _prefix_sweep, _toggle_deltas
 
@@ -130,6 +131,19 @@ class TestCheegerExact:
     def test_rejects_unknown_normalization(self):
         with pytest.raises(ValueError):
             cheeger_exact(gen_cycle(3), [0], "volume")
+
+    def test_unknown_normalization_is_rejected_before_the_network(self, monkeypatch):
+        def no_network(*args):
+            raise AssertionError("network built")
+
+        monkeypatch.setattr(isoperimetric, "_dyadic_integers", no_network)
+        monkeypatch.setattr(isoperimetric, "_max_flow", no_network)
+        g = gen_random_circulation(8, 3, seed=1)
+        for normalizations in (("volume",), ("measure", "volume")):
+            with pytest.raises(InvalidArgumentError, match="'volume'"):
+                isoperimetric._exact(g, np.arange(1, 8), normalizations)
+        with pytest.raises(InvalidArgumentError, match="'volume'"):
+            cheeger_exact(g, range(1, 8), "volume")
 
     def test_json_shape(self):
         obj = json.loads(dump_json(cheeger_exact(gen_cycle(3), [0, 1])))

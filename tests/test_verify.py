@@ -1,7 +1,9 @@
+import ast
 import json
 import warnings
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,9 @@ from dirlap import isoperimetric, operators, verify
 from dirlap._io import dump_json
 from dirlap.generators import _draw
 from dirlap.verify import _GREEN_SEED, _report
-from util import loop_complex_vector, loop_verify_fujiwara, loop_verify_green, pi_circulation
+from util import (
+    cycle_sums, loop_complex_vector, loop_verify_fujiwara, loop_verify_green, pi_circulation,
+)
 
 
 class TestReportSemantics:
@@ -117,6 +121,18 @@ class TestGreen:
     def test_deterministic(self):
         g = gen_random_circulation(8, 3, seed=4)
         assert verify_green(g) == verify_green(g)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(g=cycle_sums())
+    def test_summation_by_parts_on_cycle_sums(self, g):
+        r = verify_green(g)
+        assert r.passed, r.margin
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2**16))
+    def test_summation_by_parts_on_pi_circulations(self, n, seed):
+        r = verify_green(pi_circulation(n, seed))
+        assert r.passed, r.margin
 
 
 def _report_bytes(report):
@@ -322,6 +338,27 @@ class TestFujiwara:
         assert verify_fujiwara(g, [0, 2, 4]) == verify_fujiwara(g, [0, 2, 4])
 
 
+class TestIsoperimetricProperties:
+    # the sandwich and the Fujiwara envelope on any non-empty subset, the
+    # whole vertex set included
+    @staticmethod
+    def check(g, data):
+        omega = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        for check in (verify_cheeger_sandwich, verify_fujiwara):
+            r = check(g, omega)
+            assert r.passed, (r.instance, r.margin)
+
+    @settings(max_examples=160, derandomize=True, deadline=None, database=None)
+    @given(g=cycle_sums(), data=st.data())
+    def test_on_cycle_sums(self, g, data):
+        self.check(g, data)
+
+    @settings(max_examples=160, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(3, 24), seed=st.integers(0, 2**16), data=st.data())
+    def test_on_pi_circulations(self, n, seed, data):
+        self.check(pi_circulation(n, seed), data)
+
+
 class TestEssConsistency:
     def test_layered_graph_passes(self):
         g = gen_layered_heavy(4, 3, gamma=2.0)
@@ -488,6 +525,25 @@ class TestVerifyGraph:
         # isoperimetric._subset alone
         for name in ("_exact", "m_M_constants", "nu"):
             assert not hasattr(verify, name), name
+
+    def test_every_dense_solve_runs_in_spectral(self):
+        # np.linalg is read in spectral alone, and the Hermitian parts of
+        # verify and isoperimetric are solved by spectral._hermitian_eigh
+        package = Path(verify.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            if path.stem == "spectral":
+                continue
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "linalg", f"{path.name}:{node.lineno}"
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = [getattr(node, "module", None) or ""]
+                    modules += [alias.name for alias in node.names]
+                    assert not any("linalg" in m for m in modules), f"{path.name}:{node.lineno}"
+        for module in (verify, isoperimetric):
+            for name in ("converging", "hermitian_part"):
+                assert not hasattr(module, name), (module.__name__, name)
 
     @pytest.mark.parametrize("n, k, seed", [(6, 3, 1), (23, 4, 4)])
     def test_isoperimetric_reports_match_the_public_checks(self, n, k, seed):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dirlap import (
     DirectedGraph,
@@ -239,6 +240,24 @@ def pi_circulation(n, seed):
     base = gen_random_circulation(n, max(2, n // 2), seed=seed)
     measures = np.random.default_rng(seed).uniform(0.25, 4.0, n)
     return build_graph(measures, [(u, v, w * math.pi) for u, v, w in base.edges()])
+
+
+@st.composite
+def cycle_sums(draw):
+    """A balanced graph on 3..10 vertices: a weighted cycle through every
+    vertex plus up to three weighted cycles on random vertex subsets, with
+    contributions to the same ordered pair summed."""
+    n = draw(st.integers(3, 10))
+    weight = st.floats(0.25, 4.0)
+    cycles = [(draw(st.permutations(range(n))), draw(weight))]
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.permutations(range(n)))
+        cycles.append((order[: draw(st.integers(2, n))], draw(weight)))
+    total = {}
+    for order, w in cycles:
+        for u, v in zip(order, order[1:] + order[:1]):
+            total[(u, v)] = total.get((u, v), 0.0) + w
+    return build_graph([1.0] * n, [(u, v, w) for (u, v), w in sorted(total.items())])
 
 
 def loop_complex_vector(rng, n):
