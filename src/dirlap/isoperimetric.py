@@ -21,7 +21,11 @@ dyadic, so one power of two scales them to integers and the flow (Dinic's
 algorithm) is exact; the value is the witness's integer cut over its integer
 denominator, divided once, so it is correctly rounded. The witness is the
 largest minimizer, the union of all of them: the vertices that s does not
-reach in the final residual network.
+reach in the final residual network. Every maximum flow leaves the same
+vertices unreached, so the flow is free to save work: it starts from a
+preflow that saturates each two-arc path s -> u -> t, and each of Dinic's
+phases stops its breadth-first search once t's level is known and keeps in
+its level graph only the nodes that can lie on a shortest augmenting path.
 cheeger_heuristic runs a spectral sweep cut plus greedy single-vertex
 exchange and returns an upper bound.
 
@@ -94,8 +98,30 @@ def _max_flow(start: list, to: list, rev: list, cap: list, s: int, t: int) -> li
     cap, and return the last breadth-first levels: -1 exactly at the nodes
     that s does not reach in the residual network. The arcs of node x are
     start[x]..start[x + 1] - 1, arc a runs to to[a], and rev[a] is its
-    reverse arc."""
+    reverse arc.
+
+    A preflow first saturates every two-arc path s -> u -> t. Each phase's
+    breadth-first search then stops as soon as t has a level or every other
+    node has one: t's level is one above the lowest node with a residual
+    arc into t (read from t's arcs through rev). Of that lowest level only
+    the nodes with such an arc stay in the level graph, and beyond it only
+    t: no other node there lies on a shortest augmenting path. A node that
+    the blocking-flow search finds to be a dead end leaves the level graph
+    too, so no later path of the phase enters it. The last phase, which
+    never reaches t, searches the whole residual network."""
     n = len(start) - 1
+    # into_t[u] is an arc u -> t, or -1
+    into_t = [-1] * n
+    for b in range(start[t], start[t + 1]):
+        into_t[to[b]] = rev[b]
+    for a in range(start[s], start[s + 1]):
+        e = into_t[to[a]]
+        if e >= 0:
+            push = min(cap[a], cap[e])
+            cap[a] -= push
+            cap[rev[a]] += push
+            cap[e] -= push
+            cap[rev[e]] += push
     while True:
         level = [-1] * n
         level[s] = 0
@@ -105,8 +131,23 @@ def _max_flow(start: list, to: list, rev: list, cap: list, s: int, t: int) -> li
                 if cap[a] and level[to[a]] < 0:
                     level[to[a]] = level[x] + 1
                     queue.append(to[a])
-        if level[t] < 0:
+            if level[t] >= 0 or len(queue) == n - 1:
+                break
+        # t's level is one above the lowest node with a residual arc into it
+        feeds = [to[b] for b in range(start[t], start[t + 1]) if cap[rev[b]] and level[to[b]] >= 0]
+        if not feeds:
             return level
+        below = min(level[y] for y in feeds)
+        feeds = [y for y in feeds if level[y] == below]
+        # the queue ends with the nodes on that level and beyond; keep only
+        # t and the feeding nodes
+        for y in reversed(queue):
+            if level[y] < below:
+                break
+            level[y] = -1
+        for y in feeds:
+            level[y] = below
+        level[t] = below + 1
         # blocking flow by depth-first search over the level graph; path
         # holds the arcs from s to x, and arc[y] is y's first untried arc
         arc = start[:-1]
@@ -131,7 +172,9 @@ def _max_flow(start: list, to: list, rev: list, cap: list, s: int, t: int) -> li
                 x = to[a]
             elif x == s:
                 break
-            else:  # x is a dead end: retreat and skip the arc into it
+            else:  # x is a dead end: leave the level graph, retreat and
+                # skip the arc into it
+                level[x] = -1
                 a = path.pop()
                 x = to[rev[a]]
                 arc[x] += 1
@@ -154,8 +197,13 @@ def _exact(
     leaving = np.flatnonzero((lo < 0) & (hi >= 0))
     inner = np.flatnonzero(lo >= 0)
     keys = lo[inner] * k + hi[inner]
-    pairs = np.flatnonzero(np.bincount(keys, minlength=k * k))
-    which = np.searchsorted(pairs, keys)
+    slot = np.bincount(keys, minlength=k * k)
+    pairs = np.flatnonzero(slot)
+    # the slot of each internal pair's key now holds its index in pairs;
+    # the k * k table goes before the network is built
+    slot[pairs] = np.arange(pairs.size)
+    which = slot[keys]
+    del slot
     w = g.edge_weight
     ints = _dyadic_integers(np.concatenate([*denoms, w[leaving], w[inner]]))
     # the denominators come first, k integers per normalization
@@ -167,26 +215,31 @@ def _exact(
     # nodes 0..k-1 are omega, then s and t. The m arcs u -> t, u -> v (one
     # per internal pair) and s -> u come first and their reverses next, so
     # arc i + m is the reverse of arc i. At ratio p / q, arc a has capacity
-    # q * on_q[a], except that u -> t, now arc t_arcs[u], has p * denom(u).
-    # The network is stored by tail node (CSR).
+    # entry source[a] of [0, p * denom, q * on_q]: arc i < m has entry
+    # i + 1, v -> u shares u -> v's, and the other reverses have 0, so each
+    # pair's weight is multiplied once. The network is stored by tail node
+    # (CSR).
     s, t = k, k + 1
     exits = np.flatnonzero(ext)
     m = k + pairs.size + exits.size
     tails = np.concatenate([np.arange(k), u, np.full(exits.size, s), np.full(k, t), v, exits])
-    zeros = np.zeros(k, dtype=object)
-    on_q = np.concatenate([zeros, pair_weight, ext[exits], zeros, pair_weight, zeros[: exits.size]])
-    order = np.argsort(tails, kind="stable")
+    entries = np.arange(1, m + 1)
+    none = np.zeros(k + exits.size, dtype=np.int64)
+    source = np.concatenate([entries, none[:k], entries[k : k + pairs.size], none[k:]])
+    # node ids and entries in the smallest unsigned type that holds them: a
+    # stable sort of 16-bit keys is a radix sort, and source, kept through
+    # every flow, then takes 2 bytes an arc
+    order = np.argsort(tails.astype(np.min_scalar_type(k + 1)), kind="stable")
     where = np.empty_like(order)
     where[order] = np.arange(2 * m)
     start = np.searchsorted(tails[order], np.arange(k + 3)).tolist()
     to = np.concatenate([tails[m:], tails[:m]])[order].tolist()
     rev = where[(order + m) % (2 * m)].tolist()
-    on_q = on_q[order].tolist()
-    t_arcs = where[:k].tolist()
+    source = source[order].astype(np.min_scalar_type(m))
+    on_q = np.concatenate([pair_weight, ext[exits]])
+    zero = np.zeros(1, dtype=object)
 
     def solve(normalization: str, denom: np.ndarray) -> CheegerResult:
-        to_t = list(zip(t_arcs, denom.tolist()))
-
         def cut_and_denom(inside: np.ndarray) -> tuple[int, int]:
             cut = ext[inside].sum() + pair_weight[inside[u] != inside[v]].sum()
             return int(cut), int(denom[inside].sum())
@@ -196,9 +249,7 @@ def _exact(
         # ratio, until the ratio is the minimum
         p, q = cut_and_denom(np.ones(k, dtype=bool))
         while True:
-            cap = [q * b for b in on_q]
-            for a, w in to_t:
-                cap[a] = p * w
+            cap = np.concatenate([zero, p * denom, q * on_q])[source].tolist()
             inside = np.asarray(_max_flow(start, to, rev, cap, s, t)[:k]) < 0
             cut, d = cut_and_denom(inside)
             if cut * q == p * d:

@@ -454,6 +454,28 @@ class TestInfinity:
             == "6bceaac469e2f8daeec2a355528c0daa94a82848df9051a3ce392e301bfcccd3"
         )
 
+    @pytest.mark.parametrize(
+        "name, graph, size, digest",
+        [
+            # 41 complements, every one solved by exact minimum cuts
+            ("deep_heavy", lambda: gen_layered_heavy(40, 4, 2.0), 4416,
+             "a0b9aa7c17546f24d5a94a18044cb77cc490e362330767f1a7f2751812f56e3c"),
+            # the two complements of the benchmark's n = 300 circulation
+            ("circulation", lambda: gen_random_circulation(300, 150, 1), 239,
+             "954f4b1419a5d7eaeb1238957492ef70a467eb28b465e522c8c634ddd5cf580c"),
+        ],
+    )
+    def test_exact_cut_profile_bytes(self, tmp_path, capsys, name, graph, size, digest):
+        path = tmp_path / f"{name}.json"
+        save_graph(graph(), path)
+        out = tmp_path / f"{name}.csv"
+        code, _, _ = run(capsys, "infinity", str(path), "--root", "0", "--out", str(out))
+        assert code == 0
+        data = out.read_bytes()
+        # recorded with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_rejects_disconnected(self, tmp_path, capsys):
         path = tmp_path / "two.json"
         path.write_text(

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import (
-    bfs_hops, brute_cheeger, cycle_sums, float_cheeger, loop_toggle_deltas, pi_circulation,
-    rational_cheeger, traced_peak,
+    bfs_hops, brute_cheeger, cycle_sums, edmonds_karp, float_cheeger, layered_networks,
+    loop_toggle_deltas, pi_circulation, rational_cheeger, traced_peak,
 )
 
 from dirlap import (
@@ -237,6 +237,69 @@ class TestExactRationalBounds:
             else:
                 value, _ = brute_cheeger(g, omega, normalization)
                 assert abs(res.value - value) * 2**52 <= ratio_terms * value
+
+
+class TestMaxFlow:
+    """_max_flow against the Edmonds-Karp oracle, on networks where the
+    pruned phases matter: nodes beyond t's level, and nodes one level
+    below t with no residual arc into it."""
+
+    @staticmethod
+    def network(k, arcs):
+        """The arcs in the solver's CSR layout: forward arcs i, their
+        reverses i + m, stored by tail node in a stable order."""
+        m = len(arcs)
+        tails = np.array([a[0] for a in arcs] + [a[1] for a in arcs])
+        heads = np.array([a[1] for a in arcs] + [a[0] for a in arcs])
+        caps = [a[2] for a in arcs] + [a[3] for a in arcs]
+        order = np.argsort(tails, kind="stable")
+        where = np.empty_like(order)
+        where[order] = np.arange(2 * m)
+        start = np.searchsorted(tails[order], np.arange(k + 3)).tolist()
+        rev = where[(order + m) % (2 * m)].tolist()
+        return start, heads[order].tolist(), rev, [caps[i] for i in order.tolist()]
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(net=layered_networks(), scale=st.sampled_from((1, 3, 2**70 + 1)))
+    def test_matches_edmonds_karp(self, net, scale):
+        k, arcs = net
+        arcs = [(u, v, c * scale, b * scale) for u, v, c, b in arcs]
+        s, t = k, k + 1
+        start, to, rev, cap = self.network(k, arcs)
+        initial = list(cap)
+        level = isoperimetric._max_flow(start, to, rev, cap, s, t)
+        value, reached = edmonds_karp(
+            k + 2, [(u, v, c) for u, v, c, _ in arcs] + [(v, u, b) for u, v, _, b in arcs], s, t
+        )
+        into_t = sum(initial[a] - cap[a] for a in range(len(to)) if to[a] == t)
+        assert into_t == value
+        assert {x for x in range(k + 2) if level[x] >= 0} == reached
+        assert min(cap) >= 0
+        for x in range(k):  # conservation
+            assert sum(initial[a] - cap[a] for a in range(start[x], start[x + 1])) == 0
+
+    def test_one_flow_per_normalization_at_n300(self, monkeypatch):
+        # both complements of the root-0 filtration of the benchmark circulation
+        # take a single Dinkelbach step: the pruned phases make each flow
+        # cheaper, not the flows fewer
+        calls = []
+        flow = isoperimetric._max_flow
+
+        def counted(*args):
+            calls.append(1)
+            return flow(*args)
+
+        monkeypatch.setattr(isoperimetric, "_max_flow", counted)
+        g = gen_random_circulation(300, 150, 1)
+        dist = build_filtration(g, 0).dist
+        sizes = []
+        for r in range(int(dist.max())):
+            comp = np.flatnonzero(dist > r)
+            calls.clear()
+            isoperimetric._exact(g, comp)
+            assert len(calls) == len(NORMALIZATIONS)
+            sizes.append(comp.size)
+        assert sizes == [299, 181]
 
 
 class TestExactMemory:

@@ -222,6 +222,82 @@ def bfs_hops(n, arcs, root):
     return dist
 
 
+def edmonds_karp(n, arcs, s, t):
+    """Reference maximum flow on Python ints: (flow value, the set of nodes
+    that s reaches in the final residual network), by augmenting along
+    shortest paths found by a deque breadth-first search. arcs holds
+    (tail, head, capacity) triples; parallel arcs are summed."""
+    residual = [dict() for _ in range(n)]
+    for u, v, c in arcs:
+        residual[u][v] = residual[u].get(v, 0) + c
+        residual[v].setdefault(u, 0)
+    value = 0
+    while True:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v, c in residual[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return value, set(parent)
+        path = []
+        v = t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        value += push
+
+
+@st.composite
+def layered_networks(draw):
+    """A flow network in the layout of the exact Cheeger solver: nodes
+    0..k-1, then s = k and t = k + 1, as (k, arcs), where arcs holds
+    (tail, head, capacity, reverse capacity). Its nodes have BFS depths
+    1..D from s, one above another. A node at depth 1 has an arc into t
+    of less capacity than the arc from s, which the two-arc preflow
+    saturates; otherwise only nodes at depth feed >= 2 and deeper have
+    arcs into t. So the first phase finds t at level feed + 1 with nodes
+    beyond it, and at depth feed at least one node's arc into t has
+    capacity 0. Capacities are small integers, so flows tie often."""
+    depth_count = draw(st.integers(4, 6))
+    feed = draw(st.integers(2, depth_count - 2))
+    sizes = [draw(st.integers(1, 3)) for _ in range(depth_count)]
+    sizes[feed - 1] = max(sizes[feed - 1], 2)
+    depth = [d for d, size in enumerate(sizes, 1) for _ in range(size)]
+    k = len(depth)
+    s, t = k, k + 1
+    layer = {d: [u for u in range(k) if depth[u] == d] for d in range(1, depth_count + 1)}
+    cap = st.integers(1, 9)
+    # the nodes at depth 1 are 0, 1, ..., so from_s[u] is u's arc from s
+    from_s = [draw(cap) for _ in layer[1]]
+    arcs = [(s, u, c, 0) for u, c in zip(layer[1], from_s)]
+    for u in range(k):
+        if depth[u] > 1:
+            arcs.append((draw(st.sampled_from(layer[depth[u] - 1])), u, draw(cap), draw(st.integers(0, 9))))
+    # further arcs between nodes at most one depth apart keep every depth
+    near = [(u, v) for u in range(k) for v in range(u + 1, k) if abs(depth[u] - depth[v]) <= 1]
+    for u, v in draw(st.lists(st.sampled_from(near), max_size=8)) if near else []:
+        arcs.append((u, v, draw(st.integers(0, 9)), draw(st.integers(0, 9))))
+    for u in range(k):
+        if depth[u] == 1:
+            c = draw(st.integers(0, from_s[u] - 1))
+        elif u == layer[feed][0]:
+            c = draw(cap)
+        elif u == layer[feed][-1] or depth[u] < feed:
+            c = 0
+        else:
+            c = draw(st.integers(0, 9))
+        arcs.append((u, t, c, 0))
+    return k, arcs
+
+
 def loop_toggle_deltas(g, tail_crossed, head_crossed):
     """Reference per-vertex toggle sums: one Python float addition per edge
     end, tail then head, in edge-list order, with the edge's weight negated
