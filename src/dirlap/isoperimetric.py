@@ -262,6 +262,17 @@ def _exact(
     )
 
 
+def _exact_ratio(g: DirectedGraph, idx: np.ndarray, denom_vals: np.ndarray) -> float:
+    """The ratio of the subset idx, b(edge boundary) / denominator, in
+    _exact's arithmetic: both sums exact over the dyadic integers, then one
+    division, so the value is correctly rounded."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[idx] = True
+    crossing = g.edge_weight[inside[g.edge_from] != inside[g.edge_to]]
+    ints = _dyadic_integers(np.concatenate([denom_vals[idx], crossing]))
+    return int(ints[idx.size :].sum()) / int(ints[: idx.size].sum())
+
+
 def cheeger_exact(
     g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
 ) -> CheegerResult:
@@ -305,7 +316,10 @@ def cheeger_heuristic(
     Orders the vertices of omega by the second-smallest eigenvector of the
     Dirichlet restriction of the symmetrized operator, sweeps prefixes from
     both ends (and all singletons), then repeatedly applies the best
-    single-vertex add/remove while it strictly lowers the ratio.
+    single-vertex add/remove while it strictly lowers the ratio. The
+    search compares float ratios, which cancel where weights spread widely;
+    the value is the witness's ratio as _exact rounds it, never below the
+    exact constant.
     """
     denom_vals = _denominator_values(g, normalization)
     idx = subset_array(g, omega)
@@ -356,9 +370,12 @@ def cheeger_heuristic(
         denom = new_denoms[move]
         in_u[order[move]] = not leaving[move]
         current = ratios[move]
-    members = tuple(np.flatnonzero(in_u).tolist())
+    members = np.flatnonzero(in_u)
     return CheegerResult(
-        value=float(current), witness=members, mode="upper_bound", normalization=normalization
+        value=_exact_ratio(g, members, denom_vals),
+        witness=tuple(members.tolist()),
+        mode="upper_bound",
+        normalization=normalization,
     )
 
 
@@ -463,6 +480,11 @@ class _Dirichlet(NamedTuple):
     nu: float
     sigma: float
 
+    @property
+    def ess_lower_bound(self) -> float:
+        """m ht^2 / 8, the isoperimetric lower bound on nu."""
+        return self.m * self.ht**2 / 8.0
+
 
 def _subset(
     g: DirectedGraph, idx: np.ndarray, delta: Operator, known: dict
@@ -489,6 +511,6 @@ def _profile(g: DirectedGraph, filt: Filtration, delta: Operator, known: dict) -
     for r in range(top):
         comp = np.flatnonzero(filt.dist > r)
         d = known.get(tuple(comp.tolist())) or _subset(g, comp, delta, known)[1]
-        rows.append(LevelProfile(r + 1, comp.size, d.m, d.M, d.h, d.ht, d.nu, d.m * d.ht**2 / 8.0))
+        rows.append(LevelProfile(r + 1, comp.size, d.m, d.M, d.h, d.ht, d.nu, d.ess_lower_bound))
     heavy = len(rows) >= 2 and rows[-1].m_c >= 10.0 * rows[0].m_c
     return InfinityProfile(levels=tuple(rows), heavy_end=heavy)

@@ -228,5 +228,10 @@ def kernel_dimension(op: Operator) -> int:
     once the spread of |lambda| passes about 1e8: the dense solver's
     absolute error, about eps * max |lambda|, then reaches the threshold.
     """
-    moduli = np.abs(eig(op.matrix))
+    return _kernel_count(eig(op.matrix))
+
+
+def _kernel_count(vals: np.ndarray) -> int:
+    """kernel_dimension of a matrix with the eigenvalues vals."""
+    moduli = np.abs(vals)
     return int(np.count_nonzero(moduli <= _KERNEL_RTOL * moduli.max()))

@@ -35,7 +35,7 @@ from .operators import (
     quadratic_form,
     to_euclidean,
 )
-from .spectral import _hermitian_eigh, _hermitian_extremes, eig, kernel_dimension, operator_norm
+from .spectral import _hermitian_eigh, _hermitian_extremes, _kernel_count, eig, operator_norm
 
 DEFAULT_ABS_TOL = 1e-8
 DEFAULT_REL_TOL = 1e-8
@@ -129,17 +129,18 @@ def verify_bounded(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
     balance, beta_plus is stationary for the random walk I - A, so the Schur
     test bounds its norm in the beta_plus metric by 1.
     """
-    return _bounded(assemble(g, "normalized_delta"), connectivity(g)[0], instance)
+    op = assemble(g, "normalized_delta")
+    return _bounded(op, eig(to_euclidean(op)), connectivity(g)[0], instance)
 
 
-def _bounded(op: Operator, connected: bool, instance: str) -> TheoremReport:
-    """verify_bounded on op, the normalized operator of a graph; the kernel
-    is checked only if the graph is connected."""
+def _bounded(op: Operator, lam: np.ndarray, connected: bool, instance: str) -> TheoremReport:
+    """verify_bounded on op, the normalized operator of a graph, with lam
+    the eigenvalues of its Euclidean matrix; the kernel is checked only if
+    the graph is connected."""
     walk = Operator(matrix=np.eye(op.size) - op.matrix, metric=op.metric, kind="random_walk")
     pairs = [(operator_norm(op), 2.0), (operator_norm(walk), 1.0)]
     if connected:
-        kdim = kernel_dimension(op)
-        pairs.append((float(abs(kdim - 1)), 0.0))
+        pairs.append((float(abs(_kernel_count(lam) - 1)), 0.0))
     return _report("norm_disc_kernel", instance, pairs)
 
 
@@ -151,8 +152,14 @@ def verify_kyfan(matrix: np.ndarray, instance: str = "matrix") -> TheoremReport:
     by the top-q sums of the Hermitian part's eigenvalues, with equality for
     q = n (both equal the real part of the trace).
     """
-    a = np.asarray(matrix, dtype=complex)
-    re_sorted = np.sort(eig(a).real)
+    a = np.asarray(matrix)
+    return _kyfan(a, eig(a), instance)
+
+
+def _kyfan(a: np.ndarray, lam: np.ndarray, instance: str) -> TheoremReport:
+    """verify_kyfan on the square matrix a, whose eigenvalues are lam. A
+    real a stays real: both solves take the real path."""
+    re_sorted = np.sort(lam.real)
     sym_sorted = _hermitian_eigh(a)
     n = a.shape[0]
     pairs = []
@@ -226,7 +233,7 @@ def _isoperimetric(
         (d.M * d.nu, 0.5 * d.M * d.h),
         (d.ht * d.ht / 8.0, nu_t),
         (nu_t, 0.5 * d.ht),
-        (d.m * d.ht * d.ht / 8.0, d.nu),
+        (d.ess_lower_bound, d.nu),
     ]
     s = float(np.sqrt(max(0.0, 4.0 - d.ht * d.ht)))
     f = _draw(SplitMix64(_FUJIWARA_SEED), _FUJIWARA_VECTORS, idx.size)
@@ -349,10 +356,13 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     """
     delta, normalized = _operators(g)
     connected, _ = connectivity(g)
+    # one real solve of the normalized operator serves the kernel and Ky Fan
+    euclidean = to_euclidean(normalized)
+    lam = eig(euclidean)
     reports = [
         verify_green(g, name),
-        _bounded(normalized, connected, name),
-        verify_kyfan(to_euclidean(normalized), f"{name}|normalized_delta"),
+        _bounded(normalized, lam, connected, name),
+        _kyfan(euclidean, lam, f"{name}|normalized_delta"),
     ]
     filt = build_filtration(g, 0) if connected else None
     if g.n <= _EXHAUSTIVE_LIMIT:

@@ -36,11 +36,12 @@ from dirlap.isoperimetric import _prefix_sweep, _toggle_deltas
 
 
 def subset_ratio(g, members, normalization):
-    """Ratio of one specific subset, computed straight from the edge list."""
+    """Ratio of one specific subset, computed straight from the edge list:
+    exact rational sums of the stored floats, correctly rounded."""
     inside = set(members)
-    cut = sum(w for u, v, w in g.edges() if (u in inside) != (v in inside))
+    cut = sum(Fraction(w) for u, v, w in g.edges() if (u in inside) != (v in inside))
     vals = g.measure if normalization == "measure" else g.beta_plus
-    return cut / sum(vals[v] for v in inside)
+    return float(cut / sum(Fraction(float(vals[v])) for v in inside))
 
 
 def rescaled(g):
@@ -381,10 +382,20 @@ class TestCheegerHeuristic:
         for seed in range(5):
             g = gen_random_circulation(10, 4, seed=100 + seed)
             heur = cheeger_heuristic(g, range(7), "measure")
-            assert heur.value == pytest.approx(
-                subset_ratio(g, heur.witness, "measure"), rel=1e-9
-            )
+            assert heur.value == subset_ratio(g, heur.witness, "measure")
             assert set(heur.witness) <= set(range(7))
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    def test_never_below_exact_on_a_deep_heavy_end(self, normalization):
+        # weights up to 2^74 on the root's complement: the float sweep and
+        # exchange sums cancel, and their ratio fell below the constant (to
+        # -0.5686 for the measure under 1 BLAS thread); the value is the
+        # witness's correctly rounded ratio
+        g = gen_layered_heavy(75, 4, 2.0)
+        comp = range(1, g.n)
+        heur = cheeger_heuristic(g, comp, normalization)
+        assert heur.value >= cheeger_exact(g, comp, normalization).value
+        assert heur.value == subset_ratio(g, heur.witness, normalization)
 
     def test_exact_on_easy_instances(self):
         # sweep cuts recover arcs of a cycle

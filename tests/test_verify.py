@@ -54,6 +54,20 @@ from util import (
 )
 
 
+def record_solver_inputs(monkeypatch):
+    """Wrap np.linalg.eigvals and eigvalsh; the returned list gets (name,
+    shape, whether complex) for each call."""
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+
+        def wrapper(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape, np.iscomplexobj(a)))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
 class TestReportSemantics:
     def test_margin_is_min_gap(self):
         r = _report("t", "i", [(0.0, 1.0), (2.0, 2.5)])
@@ -252,6 +266,16 @@ class TestKyFan:
         r = verify_kyfan(to_euclidean(assemble(g, "normalized_delta")))
         assert r.passed
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_real_input_stays_real(self, monkeypatch, symmetric):
+        # both the general and the Hermitian solve take the real path
+        g = gen_cycle(7) if symmetric else gen_random_circulation(7, 3, seed=6)
+        a = to_euclidean(assemble(g, "h" if symmetric else "normalized_delta"))
+        calls = record_solver_inputs(monkeypatch)
+        assert verify_kyfan(a).passed
+        general = "eigvalsh" if symmetric else "eigvals"
+        assert calls == [(general, (7, 7), False), ("eigvalsh", (7, 7), False)]
+
 
 class TestDirichletBounds:
     def test_triangle_hand_instance(self):
@@ -388,6 +412,24 @@ class TestEssConsistency:
         expected = verify_ess_bound_consistency(g, build_filtration(g, 0), name)
         assert dump_json(ess) == dump_json(expected)
 
+    @pytest.mark.parametrize(
+        "g", [gen_random_circulation(23, 4, seed=4), gen_layered_heavy(6, 4, gamma=2.0)]
+    )
+    def test_sandwich_and_profile_share_m_ht2_over_8(self, g):
+        # the sandwich's last lhs and the profile's ess_lower_bound are one
+        # expression, so they agree to the bit on every complement both read
+        lhs = {
+            r.instance: r.lhs[4] for r in verify_graph(g, "g") if r.theorem_id == "cheeger_sandwich"
+        }
+        filt = build_filtration(g, 0)
+        shared = 0
+        for r, row in enumerate(infinity_profile(g, filt).levels):
+            tag = "g|omega={" + ",".join(map(str, np.flatnonzero(filt.dist > r).tolist())) + "}"
+            if tag in lhs:
+                assert lhs[tag].hex() == row.ess_lower_bound.hex(), tag
+                shared += 1
+        assert shared >= 2
+
     def test_verify_graph_solves_each_subset_once(self, monkeypatch):
         solved, kinds = [], []
         exact, assemble_ = isoperimetric._exact, operators.assemble
@@ -519,6 +561,19 @@ class TestVerifyGraph:
             ("dirichlet", "normalized_delta"),
         ):
             assert len({c for c in calls if c[:2] == key}) == 8
+
+    @pytest.mark.parametrize("n, k, seed", [(9, 4, 2), (30, 15, 1)])
+    def test_one_real_solve_of_the_whole_normalized_operator(self, monkeypatch, n, k, seed):
+        # the kernel count and Ky Fan share one general eigensolve of the
+        # n x n normalized operator, on its real Euclidean matrix, and Ky
+        # Fan solves its Hermitian part; no solve of the run is given a
+        # complex matrix
+        calls = record_solver_inputs(monkeypatch)
+        reports = verify_graph(gen_random_circulation(n, k, seed))
+        assert all(r.passed for r in reports)
+        whole = [c for c in calls if c[1] == (n, n)]
+        assert whole == [("eigvals", (n, n), False), ("eigvalsh", (n, n), False)]
+        assert not any(is_complex for _, _, is_complex in calls)
 
     def test_verify_binds_no_subset_solver(self):
         # the constants, m and M and nu of a subset come from
