@@ -30,7 +30,6 @@ from .isoperimetric import (
     NORMALIZATIONS,
     build_filtration,
     cheeger_exact,
-    cheeger_heuristic,
     infinity_profile,
 )
 from .operators import (
@@ -52,9 +51,6 @@ _OP_CHOICES = {
     "normalized-prime": "normalized_delta_prime",
     "normalized-h": "normalized_h",
 }
-
-# the solvers of `cheeger --mode`
-_CHEEGER_MODES = {"exact": cheeger_exact, "heuristic": cheeger_heuristic}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -146,7 +142,7 @@ def _cmd_cheeger(args) -> int:
     omega = _parse_omega(args)
     if omega is None:
         omega = list(range(g.n))
-    result = _CHEEGER_MODES[args.mode](g, omega, args.normalization)
+    result = cheeger_exact(g, omega, args.normalization)
     _emit(dump_json(result), args.out)
     return 0
 
@@ -239,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     omega.add_argument("--omega", default=None, help="JSON array of vertex ids (default: all)")
     omega.add_argument("--omega-file", default=None)
     p.add_argument("--normalization", choices=NORMALIZATIONS, default="measure")
-    p.add_argument("--mode", choices=_CHEEGER_MODES, default="exact")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the inequality suite, exit 1 on failure")

@@ -26,8 +26,8 @@ vertices unreached, so the flow is free to save work: it starts from a
 preflow that saturates each two-arc path s -> u -> t, and each of Dinic's
 phases stops its breadth-first search once t's level is known and keeps in
 its level graph only the nodes that can lie on a shortest augmenting path.
-cheeger_heuristic runs a spectral sweep cut plus greedy single-vertex
-exchange and returns an upper bound.
+cheeger_exact is the only solver; cheeger_heuristic, the name of a retired
+sweep-cut heuristic, returns its result unchanged.
 
 A filtration is a nested exhausting family of connected subsets; profiling
 the complements (min/max vertex ratios, Cheeger constants, Dirichlet
@@ -38,14 +38,15 @@ heavy ends, where the complements' weight-to-measure ratio blows up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DisconnectedError, InvalidArgumentError
-from .graph import DirectedGraph, hop_distances, subset_array
-from .operators import Operator, assemble, dirichlet, to_euclidean
-from .spectral import _hermitian_eigh, _hermitian_extremes
+from .graph import DirectedGraph, _check_types, hop_distances, subset_array
+from .operators import Operator, assemble, dirichlet
+from .spectral import _hermitian_extremes
 
 NORMALIZATIONS = ("measure", "beta_plus")
 
@@ -54,9 +55,8 @@ NORMALIZATIONS = ("measure", "beta_plus")
 class CheegerResult:
     """Constant value, the subset achieving it, and how it was obtained.
 
-    mode is "exact" (witness is the largest minimizer, the union of all
-    of them) or "upper_bound" (heuristic; value >= the true constant,
-    witness is the best subset found).
+    mode is always "exact": value is the exact minimum ratio, correctly
+    rounded, and witness the largest minimizer, the union of all of them.
     """
 
     value: float
@@ -262,17 +262,6 @@ def _exact(
     )
 
 
-def _exact_ratio(g: DirectedGraph, idx: np.ndarray, denom_vals: np.ndarray) -> float:
-    """The ratio of the subset idx, b(edge boundary) / denominator, in
-    _exact's arithmetic: both sums exact over the dyadic integers, then one
-    division, so the value is correctly rounded."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[idx] = True
-    crossing = g.edge_weight[inside[g.edge_from] != inside[g.edge_to]]
-    ints = _dyadic_integers(np.concatenate([denom_vals[idx], crossing]))
-    return int(ints[idx.size :].sum()) / int(ints[: idx.size].sum())
-
-
 def cheeger_exact(
     g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
 ) -> CheegerResult:
@@ -282,101 +271,12 @@ def cheeger_exact(
     return _exact(g, subset_array(g, omega), (normalization,))[0]
 
 
-def _toggle_deltas(g: DirectedGraph, tail_crossed, head_crossed) -> np.ndarray:
-    """Per vertex, the change in cut weight when it switches sides, given
-    whether each edge crosses the cut before its tail, and before its head,
-    switches (a bool per edge, or one for all of them).
-
-    Each edge is seen from its tail and then from its head, in edge-list
-    order, so every vertex's sum adds its edges' terms in edge-list order.
-    """
-    w = g.edge_weight
-    ends = np.stack([g.edge_from, g.edge_to], axis=1).ravel()
-    signed = np.stack([w * (1.0 - 2.0 * tail_crossed), w * (1.0 - 2.0 * head_crossed)], axis=1)
-    return np.bincount(ends, weights=signed.ravel(), minlength=g.n)
-
-
-def _prefix_sweep(
-    g: DirectedGraph, ordering: np.ndarray, denom_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut and denominator of every prefix of ordering, each vertex added
-    to the previous prefix in turn."""
-    rank = np.full(g.n, ordering.size)
-    rank[ordering] = np.arange(ordering.size)
-    tail_rank, head_rank = rank[g.edge_from], rank[g.edge_to]
-    deltas = _toggle_deltas(g, head_rank < tail_rank, tail_rank < head_rank)
-    return np.cumsum(deltas[ordering]), np.cumsum(denom_vals[ordering])
-
-
 def cheeger_heuristic(
     g: DirectedGraph, omega: Iterable[int], normalization: str = "measure"
 ) -> CheegerResult:
-    """Upper bound via a spectral sweep cut plus greedy vertex exchange.
-
-    Orders the vertices of omega by the second-smallest eigenvector of the
-    Dirichlet restriction of the symmetrized operator, sweeps prefixes from
-    both ends (and all singletons), then repeatedly applies the best
-    single-vertex add/remove while it strictly lowers the ratio. The
-    search compares float ratios, which cancel where weights spread widely;
-    the value is the witness's ratio as _exact rounds it, never below the
-    exact constant.
-    """
-    denom_vals = _denominator_values(g, normalization)
-    idx = subset_array(g, omega)
-    k = idx.size
-
-    if k == 1:
-        order = idx
-    else:
-        kind = "h" if normalization == "measure" else "normalized_h"
-        op = dirichlet(assemble(g, kind), idx)
-        _, vecs = _hermitian_eigh(to_euclidean(op), vectors=True)
-        f = vecs[:, 1] / np.sqrt(op.metric)
-        order = idx[np.argsort(f, kind="stable")]
-
-    # candidates in turn: prefixes of order, prefixes of its reverse, and
-    # singletons (whose cut is their total edge weight); the first smallest
-    # ratio wins
-    sweeps = [_prefix_sweep(g, ordering, denom_vals) for ordering in (order, order[::-1])]
-    degrees = _toggle_deltas(g, False, False)
-    ratios = np.concatenate(
-        [cut / denom for cut, denom in sweeps] + [degrees[order] / denom_vals[order]]
-    )
-    best = int(np.argmin(ratios))
-    if best < 2 * k:
-        ordering = order if best < k else order[::-1]
-        best_set = np.sort(ordering[: best % k + 1])
-    else:
-        best_set = order[best - 2 * k : best - 2 * k + 1]
-
-    cuts, denoms = _prefix_sweep(g, best_set, denom_vals)
-    cut, denom = cuts[-1], denoms[-1]
-    current = cut / denom
-    in_u = np.zeros(g.n, dtype=bool)
-    in_u[best_set] = True
-    for _ in range(1000 + 10 * k):
-        crossed = in_u[g.edge_from] != in_u[g.edge_to]
-        deltas = _toggle_deltas(g, crossed, crossed)[order]
-        leaving = in_u[order]
-        new_denoms = np.where(leaving, denom - denom_vals[order], denom + denom_vals[order])
-        # the last member may not leave
-        movable = ~leaving if np.count_nonzero(leaving) == 1 else slice(None)
-        ratios = np.full(k, np.inf)
-        ratios[movable] = (cut + deltas[movable]) / new_denoms[movable]
-        move = int(np.argmin(ratios))
-        if not ratios[move] < current:
-            break
-        cut += deltas[move]
-        denom = new_denoms[move]
-        in_u[order[move]] = not leaving[move]
-        current = ratios[move]
-    members = np.flatnonzero(in_u)
-    return CheegerResult(
-        value=_exact_ratio(g, members, denom_vals),
-        witness=tuple(members.tolist()),
-        mode="upper_bound",
-        normalization=normalization,
-    )
+    """cheeger_exact's result, unchanged, so its mode is "exact". The name
+    stays for the callers of the sweep-cut heuristic that it replaces."""
+    return cheeger_exact(g, omega, normalization)
 
 
 def m_M_constants(g: DirectedGraph, omega: Iterable[int]) -> tuple[float, float]:
@@ -413,15 +313,17 @@ def build_filtration(g: DirectedGraph, root: int) -> Filtration:
 
     Each ball induces a connected subgraph, consecutive balls are strictly
     nested, and the last one is the whole vertex set. Requires a connected
-    graph.
+    graph. root is a vertex id as build_graph takes it: a Python or numpy
+    integer, never a bool.
     """
+    _check_types([root], Integral, "root")
     if not (0 <= root < g.n):
         raise InvalidArgumentError(f"root {root} out of range 0..{g.n - 1}")
     dist = hop_distances(g, root)
     if np.any(dist < 0):
         raise DisconnectedError("filtration needs a connected graph")
     dist.flags.writeable = False
-    return Filtration(root=root, dist=dist)
+    return Filtration(root=int(root), dist=dist)
 
 
 @dataclass(frozen=True)

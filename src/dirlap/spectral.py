@@ -58,7 +58,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def _is_hermitian(a: np.ndarray) -> bool:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.max(np.abs(a)))
     return float(np.max(np.abs(a - a.conj().T))) <= _HERMITIAN_RTOL * (1.0 + scale)
 
 
@@ -73,6 +73,8 @@ def eig(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("matrix must be square")
+    if not a.size:
+        raise InvalidArgumentError("matrix must not be empty")
     with converging():
         if _is_hermitian(a):
             vals = np.linalg.eigvalsh(a).astype(complex)
@@ -191,13 +193,11 @@ def _extreme_vector(h: np.ndarray, sigma: float, start: np.ndarray) -> np.ndarra
     )
 
 
-def _hermitian_eigh(a: np.ndarray, vectors: bool = False):
-    """The eigenvalues of Herm(a), ascending; with vectors, the pair
-    (eigenvalues, eigenvectors in columns) that np.linalg.eigh returns.
-    Every dense solve of a Hermitian part runs here."""
+def _hermitian_eigh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Herm(a), ascending. Every dense solve of a
+    Hermitian part runs here."""
     with converging():
-        h = hermitian_part(a)
-        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(hermitian_part(a))
 
 
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:

@@ -339,11 +339,6 @@ class TestCheeger:
         assert result["value"] == 1.0
         assert result["witness"] == [0, 1]
 
-    def test_heuristic_mode(self, triangle_file, capsys):
-        code, out, _ = run(capsys, "cheeger", triangle_file, "--mode", "heuristic")
-        assert code == 0
-        assert json.loads(out)["mode"] == "upper_bound"
-
     def test_default_mode_is_exact_when_large(self, tmp_path, capsys):
         # an arc of 24 vertices of a 25-cycle
         path = tmp_path / "big.json"
@@ -354,9 +349,11 @@ class TestCheeger:
             "value": 2 / 24, "witness": list(range(24)), "mode": "exact", "normalization": "measure"
         }
 
-    def test_auto_mode_is_gone(self, triangle_file, capsys):
+    @pytest.mark.parametrize("mode", ["auto", "heuristic", "exact"])
+    def test_auto_mode_is_gone(self, triangle_file, capsys, mode):
+        # cheeger has one solver and no --mode option
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "cheeger", triangle_file, "--mode", "auto")
+            run(capsys, "cheeger", triangle_file, "--mode", mode)
         assert exc.value.code == 2
 
     def test_bad_omega_is_input_error(self, triangle_file, capsys):

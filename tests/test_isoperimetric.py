@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import (
     bfs_hops, brute_cheeger, cycle_sums, edmonds_karp, float_cheeger, layered_networks,
-    loop_toggle_deltas, pi_circulation, rational_cheeger, traced_peak,
+    pi_circulation, rational_cheeger, traced_peak,
 )
 
 from dirlap import (
@@ -22,6 +22,7 @@ from dirlap import (
     build_graph,
     cheeger_exact,
     cheeger_heuristic,
+    corpus,
     gen_cycle,
     gen_layered_heavy,
     gen_opposing_cycles,
@@ -32,7 +33,6 @@ from dirlap import (
 )
 from dirlap import isoperimetric
 from dirlap._io import dump_json
-from dirlap.isoperimetric import _prefix_sweep, _toggle_deltas
 
 
 def subset_ratio(g, members, normalization):
@@ -89,7 +89,7 @@ class TestCheegerExact:
         for size in (4, 22, 23, 24):
             res = cheeger_exact(g, range(size), "beta_plus")
             assert res.mode == "exact"
-            assert res.value <= cheeger_heuristic(g, range(size), "beta_plus").value
+            assert res.value <= subset_ratio(g, range(size), "beta_plus")
             assert res.value == subset_ratio(g, res.witness, "beta_plus")
         # an arc of 23 vertices of a 25-cycle: every arc has cut 2
         res = cheeger_exact(gen_cycle(25), range(23))
@@ -328,45 +328,6 @@ class TestExactMemory:
         assert traced_peak(cheeger_exact, g, range(1, 17), "beta_plus") <= 2**17
 
 
-class TestEdgeOrderSums:
-    """The heuristic's per-vertex sums add each vertex's edge terms in
-    edge-list order, so its bits do not depend on how the sums are laid
-    out. pi-scaled weights make every such sum round."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_toggle_deltas_add_in_edge_order(self, seed):
-        g = pi_circulation(30, seed)
-        rng = np.random.default_rng(seed)
-        tail, head = rng.random((2, g.edge_from.size)) < 0.5
-        expected = loop_toggle_deltas(g, tail, head)
-        assert _toggle_deltas(g, tail, head).tobytes() == np.array(expected).tobytes()
-        none = [False] * g.edge_from.size
-        assert _toggle_deltas(g, False, False).tobytes() == np.array(
-            loop_toggle_deltas(g, none, none)
-        ).tobytes()
-
-    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_prefix_sweep_adds_in_edge_order(self, seed, normalization):
-        g = pi_circulation(30, seed)
-        denom_vals = g.measure if normalization == "measure" else g.beta_plus
-        ordering = np.random.default_rng(seed).permutation(g.n)[: 10 + 5 * seed]
-        rank = {v: i for i, v in enumerate(ordering.tolist())}
-        # an end crosses before its vertex joins when the other end joined earlier
-        tail = [rank.get(v, g.n) < rank.get(u, g.n) for u, v, _ in g.edges()]
-        head = [rank.get(u, g.n) < rank.get(v, g.n) for u, v, _ in g.edges()]
-        deltas = loop_toggle_deltas(g, tail, head)
-        cut, denom, cuts, denoms = 0.0, 0.0, [], []
-        for v in ordering.tolist():
-            cut += deltas[v]
-            denom += float(denom_vals[v])
-            cuts.append(cut)
-            denoms.append(denom)
-        got_cuts, got_denoms = _prefix_sweep(g, ordering, denom_vals)
-        assert got_cuts.tobytes() == np.array(cuts).tobytes()
-        assert got_denoms.tobytes() == np.array(denoms).tobytes()
-
-
 class TestCheegerHeuristic:
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     def test_never_below_exact(self, normalization):
@@ -376,7 +337,7 @@ class TestCheegerHeuristic:
             exact = cheeger_exact(g, omega, normalization)
             heur = cheeger_heuristic(g, omega, normalization)
             assert heur.value >= exact.value - 1e-12
-            assert heur.mode == "upper_bound"
+            assert heur.mode == "exact"
 
     def test_witness_ratio_is_the_reported_value(self):
         for seed in range(5):
@@ -387,10 +348,8 @@ class TestCheegerHeuristic:
 
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
     def test_never_below_exact_on_a_deep_heavy_end(self, normalization):
-        # weights up to 2^74 on the root's complement: the float sweep and
-        # exchange sums cancel, and their ratio fell below the constant (to
-        # -0.5686 for the measure under 1 BLAS thread); the value is the
-        # witness's correctly rounded ratio
+        # weights up to 2^74 on the root's complement, where float sums
+        # cancel: the value is the witness's correctly rounded ratio
         g = gen_layered_heavy(75, 4, 2.0)
         comp = range(1, g.n)
         heur = cheeger_heuristic(g, comp, normalization)
@@ -398,7 +357,7 @@ class TestCheegerHeuristic:
         assert heur.value == subset_ratio(g, heur.witness, normalization)
 
     def test_exact_on_easy_instances(self):
-        # sweep cuts recover arcs of a cycle
+        # an arc of a cycle
         g = gen_cycle(8)
         exact = cheeger_exact(g, range(4))
         heur = cheeger_heuristic(g, range(4))
@@ -416,36 +375,25 @@ class TestCheegerHeuristic:
         b = cheeger_heuristic(g, range(9))
         assert a.value == b.value and a.witness == b.witness
 
-
-    def test_pinned_values(self):
-        # value.hex() and witness recorded before the sweep and the greedy
-        # exchange were vectorized; both must stay bit-identical
-        big = gen_random_circulation(300, 150, 1)
-        levels = build_filtration(big, 0).levels
-        cases = [(big, [v for v in range(300) if v not in levels[i]]) for i in (0, 1)]
-        expected = [
-            {"measure": "0x1.df7702918d456p-1", "beta_plus": "0x1.b0c45cfbbba65p-8"},
-            {"measure": "0x1.c02eac8d6fbc2p+6", "beta_plus": "0x1.95e2ecc258419p-1"},
+    def test_returns_the_exact_result(self):
+        # every corpus subset of up to 4 vertices and each whole vertex set,
+        # both root complements of the n = 300 circulation, and the
+        # complements dist > 0 and dist > 1 of the 75-level heavy end
+        cases = [
+            (g, omega)
+            for _, g in corpus()
+            for omega in [
+                *(c for size in range(1, min(4, g.n) + 1) for c in combinations(range(g.n), size)),
+                range(g.n),
+            ]
         ]
-        for (g, comp), values in zip(cases, expected):
-            for normalization, value in values.items():
-                heur = cheeger_heuristic(g, comp, normalization)
-                assert (heur.value.hex(), heur.witness) == (value, tuple(comp))
-        # non-dyadic weights and non-unit measures
-        base = gen_random_circulation(30, 12, seed=0)
-        g = build_graph(
-            [1.0 + (i % 7) / 4 for i in range(30)],
-            [(u, v, w * math.pi) for u, v, w in base.edges()],
-        )
-        comp = [v for v in range(30) if v not in build_filtration(g, 0).levels[1]]
-        assert len(comp) == 14
-        heur = cheeger_heuristic(g, comp, "measure")
-        assert (heur.value.hex(), heur.witness) == ("0x1.05616905f83b6p+4", (13,))
-        heur = cheeger_heuristic(g, comp, "beta_plus")
-        assert (heur.value.hex(), heur.witness) == (
-            "0x1.0927eb7d9e94bp+0",
-            (1, 2, 3, 11, 13, 15, 17, 19, 20, 21, 26, 27),
-        )
+        for g in (gen_random_circulation(300, 150, 1), gen_layered_heavy(75, 4, 2.0)):
+            dist = build_filtration(g, 0).dist
+            cases += [(g, np.flatnonzero(dist > r)) for r in (0, 1)]
+        for g, omega in cases:
+            for normalization in NORMALIZATIONS:
+                heur = cheeger_heuristic(g, omega, normalization)
+                assert dump_json(heur) == dump_json(cheeger_exact(g, omega, normalization))
 
 
 class TestMMConstants:
@@ -519,6 +467,14 @@ class TestFiltration:
     def test_rejects_bad_root(self):
         with pytest.raises(ValueError):
             build_filtration(gen_cycle(3), 3)
+
+    def test_root_is_an_integer_id(self):
+        g = gen_cycle(3)
+        for root in (True, 1.5):
+            with pytest.raises(SchemaViolationError, match="is not an integer"):
+                build_filtration(g, root)
+        filt = build_filtration(g, np.int64(1))
+        assert type(filt.root) is int and filt.levels[0] == (1,)
 
     def test_rejects_disconnected(self):
         g = build_graph(
@@ -599,7 +555,7 @@ class TestInfinityProfile:
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_layered_25_levels(self, gamma):
-        # n = 100: the heuristic's values bound every level from above,
+        # n = 100: each complement's own ratio bounds its level from above,
         # and small complements match the exact-rational oracle
         g = gen_layered_heavy(25, 4, gamma)
         filt = build_filtration(g, 0)
@@ -607,8 +563,8 @@ class TestInfinityProfile:
         assert len(prof.levels) == len(filt.levels) - 1
         for row, level in zip(prof.levels, filt.levels):
             comp = sorted(set(range(g.n)) - set(level))
-            assert row.h_c <= cheeger_heuristic(g, comp, "measure").value
-            assert row.h_tilde_c <= cheeger_heuristic(g, comp, "beta_plus").value
+            assert row.h_c <= subset_ratio(g, comp, "measure")
+            assert row.h_tilde_c <= subset_ratio(g, comp, "beta_plus")
             assert row.ess_lower_bound <= row.nu_dirichlet
             if len(comp) <= 12:
                 for value, normalization in ((row.h_c, "measure"), (row.h_tilde_c, "beta_plus")):

@@ -8,6 +8,7 @@ from util import (
 
 import dirlap.spectral
 from dirlap import (
+    InvalidArgumentError,
     NoConvergenceError,
     Operator,
     SplitMix64,
@@ -23,6 +24,7 @@ from dirlap import (
     numerical_range_boundary,
     operator_norm,
     to_euclidean,
+    verify_kyfan,
 )
 
 
@@ -56,8 +58,11 @@ class TestEig:
         assert np.allclose(vals, [0.0, 2.0])
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            eig(np.zeros((2, 3)))
+        for shape in ((2, 3), (0, 0)):
+            with pytest.raises(InvalidArgumentError):
+                eig(np.zeros(shape))
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            verify_kyfan(np.zeros((0, 0)))
 
     def test_no_convergence_error_exists(self):
         assert issubclass(NoConvergenceError, Exception)

@@ -298,17 +298,6 @@ def layered_networks(draw):
     return k, arcs
 
 
-def loop_toggle_deltas(g, tail_crossed, head_crossed):
-    """Reference per-vertex toggle sums: one Python float addition per edge
-    end, tail then head, in edge-list order, with the edge's weight negated
-    at an end whose flag is set."""
-    out = [0.0] * g.n
-    for i, (u, v, w) in enumerate(g.edges()):
-        out[u] += -w if tail_crossed[i] else w
-        out[v] += -w if head_crossed[i] else w
-    return out
-
-
 def pi_circulation(n, seed):
     """Balanced n-vertex graph whose weights (a random circulation's times
     pi) and measures (uniform in [0.25, 4)) are not dyadic, so every sum
