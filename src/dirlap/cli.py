@@ -4,7 +4,7 @@ Subcommands: gen, check, spectrum, numrange, cheeger, verify, infinity.
 All outputs are plain data (JSON or CSV) written atomically; floats use
 their shortest round-trip representation. Exit codes: 0 on success, 1 when
 `verify` found a failing report, 2 on input errors (bad files, bad flags,
-schema violations).
+schema violations, operators or Cheeger constants beyond the float range).
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ pinned down by its seed alone, and default weights live on a dyadic grid
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import DirectedGraph, _graph_from_columns, build_graph
+from .graph import DirectedGraph, _check_types, _graph_from_columns, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -37,7 +39,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self._x = seed & _MASK64
+        self._x = int(seed) & _MASK64
 
     def next_u64(self) -> int:
         self._x = (self._x + _GAMMA) & _MASK64
@@ -87,6 +89,7 @@ def _draw(rng: SplitMix64, count: int, n: int) -> np.ndarray:
 
 def gen_cycle(n: int, w: float = 1.0) -> DirectedGraph:
     """Directed n-cycle 0 -> 1 -> ... -> n-1 -> 0, constant weight, m = 1."""
+    _check_integers(n=n)
     if n < 2:
         raise InvalidArgumentError("cycle needs n >= 2")
     return build_graph([1.0] * n, [(i, (i + 1) % n, w) for i in range(n)])
@@ -100,6 +103,7 @@ def gen_opposing_cycles(
     Balanced but genuinely asymmetric whenever the two weights differ:
     b(x, y) != b(y, x) on every pair, yet outflow == inflow everywhere.
     """
+    _check_integers(n=n)
     if n < 3:
         raise InvalidArgumentError("opposing cycles need n >= 3")
     edges = [(i, (i + 1) % n, w_forward) for i in range(n)]
@@ -130,6 +134,9 @@ def gen_random_circulation(
     k-th point of the eighth-integer grid inside weight_range, at least 1/8;
     both ends of the range must stay finite when multiplied by 8.
     """
+    _check_integers(n=n, k_cycles=k_cycles, seed=seed)
+    # as Python ints: the draw arithmetic below would wrap in a numpy uint64
+    n, k_cycles = int(n), int(k_cycles)
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
     if k_cycles < 1:
@@ -169,12 +176,18 @@ def gen_random_circulation(
     succ = np.where(pos + 1 < lengths[:, None], pos + 1, 0)
     tails = order[on_cycle]
     heads = np.take_along_axis(order, succ, axis=1)[on_cycle]
-    # np.add.at adds in index order, so each pair sums its cycles in order
-    total = np.zeros((n, n))
-    np.add.at(total, (tails, heads), np.repeat(weights, lengths))
-    ef, et = np.nonzero(total)
+    keys, pair = np.unique(tails * n + heads, return_inverse=True)
+    # bincount adds in index order, so each pair sums its cycles in order
+    total = np.bincount(pair, weights=np.repeat(weights, lengths))
+    ef, et = np.divmod(keys, n)
     # the columns are ints and floats already, so build_graph's conversion is skipped
-    return _graph_from_columns(np.ones(n), ef.tolist(), et.tolist(), total[ef, et].tolist())
+    return _graph_from_columns(np.ones(n), ef.tolist(), et.tolist(), total.tolist())
+
+
+def _check_integers(**values: int) -> None:
+    """Sizes and seeds are Python or numpy integers, never bools or floats."""
+    for name, value in values.items():
+        _check_types([value], Integral, name)
 
 
 def _check_positive(**values: float) -> None:
@@ -200,6 +213,7 @@ def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> 
     radial pairs are symmetric. With gamma > 1 the weights escape to
     infinity along the layers, the model of a heavy end.
     """
+    _check_integers(L=L, width=width)
     if L < 1 or width < 2:
         raise InvalidArgumentError("need L >= 1 and width >= 2")
     _check_positive(gamma=gamma, radial=radial)
@@ -228,6 +242,7 @@ def gen_symmetric_tree(depth: int, branching: int, weight_growth: float = 1.0) -
     case. Edges from a vertex at depth d to its children carry weight
     weight_growth**d in both directions. m = 1.
     """
+    _check_integers(depth=depth, branching=branching)
     if depth < 1 or branching < 1:
         raise InvalidArgumentError("need depth >= 1 and branching >= 1")
     _check_positive(weight_growth=weight_growth)

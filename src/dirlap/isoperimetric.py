@@ -196,14 +196,7 @@ def _exact(
     # both joins the internal pair lo < hi, once per direction
     leaving = np.flatnonzero((lo < 0) & (hi >= 0))
     inner = np.flatnonzero(lo >= 0)
-    keys = lo[inner] * k + hi[inner]
-    slot = np.bincount(keys, minlength=k * k)
-    pairs = np.flatnonzero(slot)
-    # the slot of each internal pair's key now holds its index in pairs;
-    # the k * k table goes before the network is built
-    slot[pairs] = np.arange(pairs.size)
-    which = slot[keys]
-    del slot
+    pairs, which = np.unique(lo[inner] * k + hi[inner], return_inverse=True)
     w = g.edge_weight
     ints = _dyadic_integers(np.concatenate([*denoms, w[leaving], w[inner]]))
     # the denominators come first, k integers per normalization
@@ -255,7 +248,13 @@ def _exact(
             if cut * q == p * d:
                 break
             p, q = cut, d
-        return CheegerResult(cut / d, tuple(idx[inside].tolist()), "exact", normalization)
+        try:
+            value = cut / d
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"the {normalization} Cheeger constant is beyond the float range"
+            ) from None
+        return CheegerResult(value, tuple(idx[inside].tolist()), "exact", normalization)
 
     return tuple(
         solve(name, ints[i * k : (i + 1) * k]) for i, name in enumerate(normalizations)
@@ -406,6 +405,10 @@ def _profile(g: DirectedGraph, filt: Filtration, delta: Operator, known: dict) -
     """infinity_profile over delta, g's assembled operator. known maps the
     ids of each subset solved so far to its _Dirichlet data; the other
     complements are solved by _subset and added to it."""
+    if filt.dist.shape != (g.n,):
+        raise InvalidArgumentError(
+            f"filtration has {filt.dist.size} vertices, the graph {g.n}: built on another graph"
+        )
     top = int(filt.dist.max())
     if top < 1:
         raise InvalidArgumentError("filtration needs at least 2 levels")

@@ -70,19 +70,24 @@ def _base_kind(kind: str) -> str:
 
 
 def assemble(g: DirectedGraph, kind: str) -> Operator:
-    """Assemble one of the six operator kinds for a graph."""
+    """Assemble one of the six operator kinds for a graph. A kind whose
+    matrix has an entry beyond the float range (a weight-to-measure ratio
+    above about 1.8e308) is rejected: no spectral routine could use it."""
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown operator kind {kind!r}, expected one of {KINDS}")
     B = g.weight_matrix
     w = g.beta_plus if kind.startswith("normalized_") else g.measure
-    diag = np.diag(g.beta_plus / w)
     base = kind.removeprefix("normalized_")
-    if base == "delta":
-        M = diag - B / w[:, None]
-    elif base == "delta_prime":
-        M = diag - B.T / w[:, None]
-    else:  # h
-        M = 2.0 * diag - (B + B.T) / w[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.diag(g.beta_plus / w)
+        if base == "delta":
+            M = diag - B / w[:, None]
+        elif base == "delta_prime":
+            M = diag - B.T / w[:, None]
+        else:  # h
+            M = 2.0 * diag - (B + B.T) / w[:, None]
+    if not np.isfinite(M).all():
+        raise InvalidArgumentError(f"operator {kind} has an entry beyond the float range")
     M.flags.writeable = False
     return Operator(matrix=M, metric=w, kind=kind)
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NoConvergenceError
 from .generators import SplitMix64
+from .graph import _check_types
 from .operators import Operator, to_euclidean
 
 _HERMITIAN_RTOL = 1e-12
@@ -52,6 +54,13 @@ def converging(iteration: str = "eigenvalue"):
         raise NoConvergenceError(f"{iteration} iteration did not converge: {exc}") from exc
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, unless it has a non-finite entry: LAPACK then fails or returns nan."""
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError("matrix has a non-finite entry")
+    return a
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^*) / 2, whose eigenvalues bound Re of the numerical range."""
     return 0.5 * (a + a.conj().T)
@@ -68,13 +77,15 @@ def eig(matrix: np.ndarray) -> np.ndarray:
     Hermitian (in particular real symmetric) inputs are routed to the
     symmetric solver and come back real and ascending; everything else goes
     through the general solver and is sorted by (Re, Im). The LAPACK QR
-    iteration failing to converge surfaces as NoConvergenceError.
+    iteration failing to converge surfaces as NoConvergenceError; a
+    non-finite entry is rejected with InvalidArgumentError.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     if not a.size:
         raise InvalidArgumentError("matrix must not be empty")
+    _finite(a)
     with converging():
         if _is_hermitian(a):
             vals = np.linalg.eigvalsh(a).astype(complex)
@@ -121,9 +132,10 @@ def numerical_range_boundary(op: Operator, n_angles: int) -> NumericalRangeBound
     to the direction, and the point is the one of that edge which the
     fixed start vector of the inverse iteration leads to, up to rounding.
     """
+    _check_types([n_angles], Integral, "n_angles")
     if n_angles < 4:
         raise InvalidArgumentError(f"need n_angles >= 4, got {n_angles}")
-    a = to_euclidean(op)
+    a = _finite(to_euclidean(op))
     real = np.isrealobj(a)
     with converging("singular value"):
         # every vector of the zero operator is extreme; any scale will do
@@ -202,7 +214,7 @@ def _hermitian_eigh(a: np.ndarray) -> np.ndarray:
 
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:
     """inf and sup Re of the numerical range: the Hermitian part's extreme eigenvalues."""
-    sym = _hermitian_eigh(to_euclidean(op))
+    sym = _hermitian_eigh(_finite(to_euclidean(op)))
     return float(sym[0]), float(sym[-1])
 
 
@@ -215,7 +227,7 @@ def nu(op: Operator) -> float:
 def operator_norm(op: Operator) -> float:
     """Metric operator norm = largest singular value in Euclidean coordinates."""
     with converging("singular value"):
-        return float(np.linalg.svd(to_euclidean(op), compute_uv=False)[0])
+        return float(np.linalg.svd(_finite(to_euclidean(op)), compute_uv=False)[0])
 
 
 def kernel_dimension(op: Operator) -> int:

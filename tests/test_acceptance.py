@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from util import spectra_mismatch
+from util import rational_cheeger, spectra_mismatch
 
 from dirlap import (
     SplitMix64,
@@ -169,10 +169,9 @@ def test_criterion_07_ky_fan():
             assert report.passed, trial
 
 
-def test_criterion_08_heuristic_quality():
-    with verdict(8, "sweep-cut heuristic vs exact enumeration"):
+def test_criterion_08_exact_cheeger():
+    with verdict(8, "exact Cheeger constants vs rational enumeration"):
         total = 0
-        equal = 0
         for name, g in corpus():
             subsets = [
                 omega
@@ -183,14 +182,11 @@ def test_criterion_08_heuristic_quality():
             for normalization in ("measure", "beta_plus"):
                 for omega in subsets:
                     exact = cheeger_exact(g, omega, normalization)
-                    heur = cheeger_heuristic(g, omega, normalization)
-                    assert heur.value >= exact.value - 1e-12, (name, omega)
+                    value, union = rational_cheeger(g, omega, normalization)
+                    assert (exact.value, exact.witness) == (float(value), union), (name, omega)
+                    assert cheeger_heuristic(g, omega, normalization) == exact
                     total += 1
-                    if abs(heur.value - exact.value) <= 1e-9 * max(1.0, exact.value):
-                        equal += 1
         assert total > 0
-        rate = equal / total
-        assert rate >= 0.80, f"heuristic matched exact on {rate:.1%} of {total} instances"
 
 
 def test_criterion_09_heavy_end_trend():

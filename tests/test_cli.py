@@ -536,6 +536,43 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err and "not finite" in err and out == ""
 
+    @pytest.fixture
+    def overflowing_file(self, tmp_path):
+        """Balanced, with finite measures, weights and totals, but b / m = 1e600."""
+        path = tmp_path / "tiny.json"
+        save_graph(build_graph([1e-300] * 3, [(i, (i + 1) % 3, 1e300) for i in range(3)]), path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("infinity",), "operator delta has an entry beyond the float range"),
+            (("verify",), "operator delta has an entry beyond the float range"),
+            (("spectrum",), "operator delta has an entry beyond the float range"),
+            (("numrange",), "operator delta has an entry beyond the float range"),
+            (("spectrum", "--op", "h"), "operator h has an entry beyond the float range"),
+            (("cheeger", "--omega", "[1,2]"), "the measure Cheeger constant is beyond the float range"),
+        ],
+    )
+    def test_overflow_exits_two(self, overflowing_file, capsys, argv, message):
+        assert run(capsys, "check", overflowing_file)[0] == 0
+        code, out, err = run(capsys, argv[0], overflowing_file, *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cheeger", "--omega", "[1,2]", "--normalization", "beta_plus"),
+            ("spectrum", "--op", "normalized"),
+            ("numrange", "--op", "normalized-h", "--angles", "8"),
+        ],
+    )
+    def test_finite_kinds_of_an_overflowing_graph_still_work(
+        self, overflowing_file, capsys, argv
+    ):
+        code, out, err = run(capsys, argv[0], overflowing_file, *argv[1:])
+        assert code == 0 and out and err == ""
+
     def test_boolean_in_graph(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from util import loop_random_circulation
+from util import loop_random_circulation, traced_peak
 
 from dirlap import (
     InvalidArgumentError,
@@ -131,6 +131,13 @@ class TestRandomCirculation:
         assert sorted(g.edge_from.tolist()) == list(range(6))
         assert sorted(g.edge_to.tolist()) == list(range(6))
 
+    def test_numpy_integer_arguments(self):
+        want = gen_random_circulation(9, 4, seed=3)
+        for kind in (np.int64, np.uint64):
+            got = gen_random_circulation(kind(9), kind(4), seed=kind(3))
+            assert got.edge_weight.tobytes() == want.edge_weight.tobytes()
+            assert got.edge_to.tobytes() == want.edge_to.tobytes()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             gen_random_circulation(2, 1, seed=0)
@@ -164,6 +171,10 @@ class TestRandomCirculation:
         want = loop_random_circulation(40, 25, 7, weight_range)
         for name in ("measure", "edge_from", "edge_to", "edge_weight"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_merge_holds_no_pair_table(self):
+        # 8,000 edges: an n x n accumulator would take 32 MB
+        assert traced_peak(gen_random_circulation, 2000, 4, 1) <= 2**22
 
 
 class TestLayeredHeavy:

@@ -7,23 +7,39 @@ Each example takes a valid graph JSON, operator JSON, operator CSV or
 null, a list or an integer beyond the float range, or drops one key (a
 CSV line or cell). The few edits that leave the input valid are named
 in STILL_VALID and must then be accepted.
+
+Library arguments follow the same rule: a size that is not an integer, or
+a matrix with a non-finite entry, raises a DirlapError, never a bare
+TypeError, a LAPACK failure or nan.
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dirlap import (
     DirlapError,
+    InvalidArgumentError,
+    Operator,
+    SchemaViolationError,
     assemble,
     dirichlet,
+    eig,
+    gen_cycle,
+    gen_layered_heavy,
+    gen_opposing_cycles,
     gen_random_circulation,
+    gen_symmetric_tree,
     graph_from_json_obj,
     graph_to_json_obj,
+    nu,
+    numerical_range_boundary,
     operator_from_csv_text,
     operator_from_json_obj,
+    operator_norm,
     operator_to_csv_text,
     operator_to_json_obj,
     save_graph,
@@ -180,3 +196,35 @@ def test_malformed_omega(tmp_path, capsys, command, edit):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (gen_cycle, (3.5,), "n"),
+        (gen_opposing_cycles, (3.5,), "n"),
+        (gen_random_circulation, (5.0, 2, 1), "n"),
+        (gen_random_circulation, (5, 2.0, 1), "k_cycles"),
+        (gen_random_circulation, (5, 2, 1.5), "seed"),
+        (gen_layered_heavy, (2.5, 3, 2.0), "L"),
+        (gen_layered_heavy, (2, True, 2.0), "width"),
+        (gen_symmetric_tree, (1.5, 2), "depth"),
+        (gen_symmetric_tree, (2, "2"), "branching"),
+        (numerical_range_boundary, (assemble(BASE, "delta"), 4.5), "n_angles"),
+    ],
+)
+def test_non_integer_size(fn, args, name):
+    with pytest.raises(SchemaViolationError, match=f"^{name} .* is not an integer$"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "solve",
+    [lambda op: eig(op.matrix), operator_norm, nu, lambda op: numerical_range_boundary(op, 8)],
+    ids=["eig", "operator_norm", "nu", "numerical_range_boundary"],
+)
+def test_non_finite_matrix(solve, entry):
+    op = Operator(np.array([[entry, 0.0], [0.0, 1.0]]), np.ones(2), "delta")
+    with pytest.raises(InvalidArgumentError, match="^matrix has a non-finite entry$"):
+        solve(op)

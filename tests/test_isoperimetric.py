@@ -14,6 +14,7 @@ from util import (
 
 from dirlap import (
     NORMALIZATIONS,
+    CheegerResult,
     DisconnectedError,
     SchemaViolationError,
     Filtration,
@@ -30,6 +31,7 @@ from dirlap import (
     gen_symmetric_tree,
     infinity_profile,
     m_M_constants,
+    verify_ess_bound_consistency,
 )
 from dirlap import isoperimetric
 from dirlap._io import dump_json
@@ -327,6 +329,15 @@ class TestExactMemory:
         g.beta_plus  # built before tracing
         assert traced_peak(cheeger_exact, g, range(1, 17), "beta_plus") <= 2**17
 
+    def test_sparse_1000_vertex_call_holds_no_pair_table(self):
+        # the leaves of a 1,000-leaf star: no internal pair, so a table over
+        # the k * k pairs (8 MB) would dwarf the network (under 1 MB)
+        leaves = range(1, 1001)
+        g = build_graph([1.0] * 1001, [e for i in leaves for e in ((0, i, 1.0), (i, 0, 1.0))])
+        g.beta_plus  # built before tracing
+        assert traced_peak(cheeger_exact, g, leaves) <= 2**21
+        assert cheeger_exact(g, leaves) == CheegerResult(2.0, tuple(leaves), "exact", "measure")
+
 
 class TestCheegerHeuristic:
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
@@ -581,6 +592,14 @@ class TestInfinityProfile:
         g = gen_cycle(3)
         with pytest.raises(ValueError):
             infinity_profile(g, Filtration(root=0, dist=np.zeros(3, int)))
+
+    @pytest.mark.parametrize("graph_n, filtration_n", [(6, 4), (4, 6)])
+    def test_rejects_filtration_of_another_graph(self, graph_n, filtration_n):
+        filt = build_filtration(gen_cycle(filtration_n), 0)
+        message = f"^filtration has {filtration_n} vertices, the graph {graph_n}"
+        for profile in (infinity_profile, verify_ess_bound_consistency):
+            with pytest.raises(InvalidArgumentError, match=message):
+                profile(gen_cycle(graph_n), filt)
 
     def test_profile_values_are_plain_floats(self):
         g = gen_layered_heavy(3, 3, gamma=2.0)
