@@ -197,7 +197,6 @@ def test_malformed_omega(tmp_path, capsys, command, edit):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
-
 @pytest.mark.parametrize(
     "fn, args, name",
     [
