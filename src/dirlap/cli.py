@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from operator import attrgetter
 
 from ._io import (
@@ -249,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
 _COMMANDS = {
     "gen": _cmd_gen,
     "check": _cmd_check,
@@ -261,8 +264,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # an output that cannot be written fails before the work, not after
         if getattr(args, "out", None) is not None:

@@ -4,6 +4,8 @@ Everything raised on purpose derives from DirlapError so callers (and the
 CLI) can distinguish bad input from a genuine bug.
 """
 
+import numpy as np
+
 
 class DirlapError(Exception):
     """Base class for all toolkit errors."""
@@ -63,3 +65,14 @@ class EmptyComplementError(DirlapError):
 class NoConvergenceError(DirlapError):
     """The iterative eigenvalue computation exceeded its iteration cap."""
 
+
+def _require_finite(message: str, compute):
+    """compute(), one float or many, unless one is not finite or compute raises
+    OverflowError (as float ** and int / int do): then InvalidArgumentError(message)."""
+    try:
+        value = compute()
+        if np.isfinite(np.asarray(value, dtype=float)).all():
+            return value
+    except OverflowError:
+        pass
+    raise InvalidArgumentError(message)

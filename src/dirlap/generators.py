@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _require_finite
 from .graph import DirectedGraph, _check_types, _graph_from_columns, build_graph
 
 _MASK64 = (1 << 64) - 1
@@ -142,12 +142,8 @@ def gen_random_circulation(
     if k_cycles < 1:
         raise InvalidArgumentError("need k_cycles >= 1")
     lo, hi = weight_range
-    try:
-        finite = np.isfinite([8.0 * lo, 8.0 * hi]).all()
-    except OverflowError:  # an integer beyond the largest float
-        finite = False
-    if not finite:
-        raise InvalidArgumentError(f"weight range [{lo}, {hi}] times 8 is not finite")
+    message = f"weight range [{lo}, {hi}] times 8 is not finite"
+    _require_finite(message, lambda: (8.0 * lo, 8.0 * hi))
     k_lo = max(1, int(np.ceil(lo * 8)))
     k_hi = int(np.floor(hi * 8))
     if k_hi < k_lo:
@@ -197,10 +193,8 @@ def _check_positive(**values: float) -> None:
 
 
 def _power(name: str, base: float, exponent: int) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        raise InvalidArgumentError(f"{name}**{exponent} is beyond the float range") from None
+    message = f"{name}**{exponent} is beyond the float range"
+    return _require_finite(message, lambda: base**exponent)
 
 
 def gen_layered_heavy(L: int, width: int, gamma: float, radial: float = 1.0) -> DirectedGraph:

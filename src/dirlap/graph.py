@@ -74,14 +74,6 @@ class DirectedGraph:
         out.flags.writeable = False
         return out
 
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense (n, n) matrix B with B[x, y] = b(x, y), zero elsewhere,
-        built anew on each access."""
-        B = np.zeros((self.n, self.n))
-        B[self.edge_from, self.edge_to] = self.edge_weight
-        return B
-
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """Iterate (from, to, weight) triples in canonical order."""
         for u, v, w in zip(

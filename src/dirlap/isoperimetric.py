@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DisconnectedError, InvalidArgumentError
+from .errors import DisconnectedError, InvalidArgumentError, _require_finite
 from .graph import DirectedGraph, _check_types, hop_distances, subset_array
 from .operators import Operator, assemble, dirichlet
 from .spectral import _hermitian_extremes
@@ -248,12 +248,8 @@ def _exact(
             if cut * q == p * d:
                 break
             p, q = cut, d
-        try:
-            value = cut / d
-        except OverflowError:
-            raise InvalidArgumentError(
-                f"the {normalization} Cheeger constant is beyond the float range"
-            ) from None
+        message = f"the {normalization} Cheeger constant is beyond the float range"
+        value = _require_finite(message, lambda: cut / d)
         return CheegerResult(value, tuple(idx[inside].tolist()), "exact", normalization)
 
     return tuple(
@@ -383,8 +379,10 @@ class _Dirichlet(NamedTuple):
 
     @property
     def ess_lower_bound(self) -> float:
-        """m ht^2 / 8, the isoperimetric lower bound on nu."""
-        return self.m * self.ht**2 / 8.0
+        """m ht^2 / 8, the isoperimetric lower bound on nu. Only an
+        unbalanced graph's ht (above 2) can take it beyond the float range."""
+        message = f"bound m ht^2 / 8 at m = {self.m!r}, ht = {self.ht!r} is beyond the float range"
+        return _require_finite(message, lambda: self.m * self.ht**2 / 8.0)
 
 
 def _subset(

@@ -70,24 +70,29 @@ def _base_kind(kind: str) -> str:
 
 
 def assemble(g: DirectedGraph, kind: str) -> Operator:
-    """Assemble one of the six operator kinds for a graph. A kind whose
+    """Assemble one of the six kinds for a graph from its edge list. A kind whose
     matrix has an entry beyond the float range (a weight-to-measure ratio
     above about 1.8e308) is rejected: no spectral routine could use it."""
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown operator kind {kind!r}, expected one of {KINDS}")
-    B = g.weight_matrix
     w = g.beta_plus if kind.startswith("normalized_") else g.measure
     base = kind.removeprefix("normalized_")
+    b = g.edge_weight
+    rows, cols = (g.edge_to, g.edge_from) if base == "delta_prime" else (g.edge_from, g.edge_to)
+    M = np.zeros((g.n, g.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.diag(g.beta_plus / w)
-        if base == "delta":
-            M = diag - B / w[:, None]
-        elif base == "delta_prime":
-            M = diag - B.T / w[:, None]
-        else:  # h
-            M = 2.0 * diag - (B + B.T) / w[:, None]
-    if not np.isfinite(M).all():
+        if base == "h":
+            # b(x, y) + b(y, x), summed at (x, y) and then written at both positions
+            M[rows, cols] = b
+            M[cols, rows] += b
+            rows, cols, b = np.r_[rows, cols], np.r_[cols, rows], np.tile(M[rows, cols], 2)
+        # 0 - b / w rounds as diag - B / w does, so an underflowed ratio gives +0.0
+        entries = 0.0 - b / w[rows]
+        diag = (2.0 if base == "h" else 1.0) * (g.beta_plus / w)
+    if not np.isfinite(np.r_[entries, diag]).all():
         raise InvalidArgumentError(f"operator {kind} has an entry beyond the float range")
+    M[rows, cols] = entries
+    np.fill_diagonal(M, diag)
     M.flags.writeable = False
     return Operator(matrix=M, metric=w, kind=kind)
 
@@ -153,10 +158,10 @@ def _green_terms(g: DirectedGraph, delta: np.ndarray, f: np.ndarray, h: np.ndarr
     return t1, t2, metric_inner(g.edge_weight, f[..., x] - f[..., y], h[..., x] - h[..., y])
 
 
-def _green_defect(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> tuple:
+def _green_defect(g: DirectedGraph, delta: Operator, f: np.ndarray, h: np.ndarray) -> tuple:
     """Per row of f and h: the residual |t1 + t2 - t3| of the three terms and
-    its scale max(1, |t1|, |t2|, |t3|). Raises KirchhoffViolatedError if the
-    graph is not balanced."""
+    its scale max(1, |t1|, |t2|, |t3|), with delta g's assembled operator.
+    Raises KirchhoffViolatedError if the graph is not balanced."""
     report = check_kirchhoff(g)
     if not report.satisfied:
         raise KirchhoffViolatedError(
@@ -164,7 +169,7 @@ def _green_defect(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> tuple:
         )
     f = np.asarray(f, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    t1, t2, t3 = _green_terms(g, assemble(g, "delta").matrix, f, h)
+    t1, t2, t3 = _green_terms(g, delta.matrix, f, h)
     z = np.stack([t1 + t2 - t3, t1, t2, t3])
     # hypot rounds as abs() of a Python complex does; np.abs on complex arrays may not
     modulus = np.hypot(z.real, z.imag)
@@ -182,7 +187,7 @@ def greens_residual(g: DirectedGraph, f: np.ndarray, h: np.ndarray) -> float | n
 
     Raises KirchhoffViolatedError if the graph is not balanced.
     """
-    return _green_defect(g, f, h)[0]
+    return _green_defect(g, assemble(g, "delta"), f, h)[0]
 
 
 def quadratic_form(op: Operator, f: np.ndarray) -> float | np.ndarray:

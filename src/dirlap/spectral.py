@@ -207,9 +207,9 @@ def _extreme_vector(h: np.ndarray, sigma: float, start: np.ndarray) -> np.ndarra
 
 def _hermitian_eigh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of Herm(a), ascending. Every dense solve of a
-    Hermitian part runs here."""
-    with converging():
-        return np.linalg.eigvalsh(hermitian_part(a))
+    Hermitian part runs here; one whose sum a + a^* overflows is rejected."""
+    with np.errstate(over="ignore"), converging():
+        return np.linalg.eigvalsh(_finite(hermitian_part(a)))
 
 
 def _hermitian_extremes(op: Operator) -> tuple[float, float]:

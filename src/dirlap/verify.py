@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyComplementError, InvalidArgumentError
+from .errors import EmptyComplementError, InvalidArgumentError, _require_finite
 from .generators import SplitMix64, _draw, corpus
 from .graph import DirectedGraph, boundaries, connectivity, subset_array
 from .isoperimetric import (
@@ -83,6 +83,8 @@ def _report(
     if tolerance is None:
         tolerance = _default_tolerance(lhs + rhs)
     margin = min(b - a for a, b in zip(lhs, rhs))
+    message = f"{theorem_id} on {instance} has a value beyond the float range"
+    _require_finite(message, lambda: (*lhs, *rhs, margin, tolerance))
     return TheoremReport(
         theorem_id=theorem_id,
         instance=instance,
@@ -110,15 +112,15 @@ def verify_green(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
     magnitude of the three terms involved (at least 1). Raises
     KirchhoffViolatedError on unbalanced graphs.
     """
+    return _green(g, assemble(g, "delta"), instance)
+
+
+def _green(g: DirectedGraph, delta: Operator, instance: str) -> TheoremReport:
+    """verify_green with delta g's assembled operator."""
     draws = _draw(SplitMix64(_GREEN_SEED), 2 * _GREEN_PAIRS, g.n)
-    resid, scale = _green_defect(g, draws[0::2], draws[1::2])
+    resid, scale = _green_defect(g, delta, draws[0::2], draws[1::2])
     worst = np.max(resid / scale, initial=0.0)
-    return _report(
-        "greens_formula",
-        f"{instance}|pairs={_GREEN_PAIRS}",
-        [(worst, 1e-9)],
-        tolerance=0.0,
-    )
+    return _report("greens_formula", f"{instance}|pairs={_GREEN_PAIRS}", [(worst, 1e-9)], 0.0)
 
 
 def verify_bounded(g: DirectedGraph, instance: str = "graph") -> TheoremReport:
@@ -162,11 +164,9 @@ def _kyfan(a: np.ndarray, lam: np.ndarray, instance: str) -> TheoremReport:
     re_sorted = np.sort(lam.real)
     sym_sorted = _hermitian_eigh(a)
     n = a.shape[0]
-    pairs = []
-    for q in range(1, n + 1):
-        pairs.append((float(re_sorted[n - q :].sum()), float(sym_sorted[n - q :].sum())))
+    pairs = [(re_sorted[n - q :].sum(), sym_sorted[n - q :].sum()) for q in range(1, n + 1)]
     # q = n is an equality: add the reversed inequality
-    pairs.append((float(sym_sorted.sum()), float(re_sorted.sum())))
+    pairs.append((sym_sorted.sum(), re_sorted.sum()))
     return _report("ky_fan_partial_sums", instance, pairs)
 
 
@@ -311,11 +311,8 @@ def _ess_bounds(profile: InfinityProfile, root: int, instance: str) -> TheoremRe
     """verify_ess_bound_consistency on the profile of a filtration from root."""
     if len(profile.levels) < 2:
         raise EmptyComplementError("need at least 2 levels with non-empty complement")
-    pairs = []
-    for a, b in zip(profile.levels, profile.levels[1:]):
-        pairs.append((a.nu_dirichlet, b.nu_dirichlet))
-    for row in profile.levels:
-        pairs.append((row.ess_lower_bound, row.nu_dirichlet))
+    nus = profile.sequence("nu_dirichlet")
+    pairs = [*zip(nus, nus[1:]), *zip(profile.sequence("ess_lower_bound"), nus)]
     return _report(
         "essential_spectrum_lower_bound",
         f"{instance}|root={root}|levels={len(profile.levels)}",
@@ -360,7 +357,7 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
     euclidean = to_euclidean(normalized)
     lam = eig(euclidean)
     reports = [
-        verify_green(g, name),
+        _green(g, delta, name),
         _bounded(normalized, lam, connected, name),
         _kyfan(euclidean, lam, f"{name}|normalized_delta"),
     ]
@@ -389,7 +386,4 @@ def verify_graph(g: DirectedGraph, name: str = "graph") -> list[TheoremReport]:
 
 def verify_corpus() -> list[TheoremReport]:
     """Run the suite over the built-in corpus."""
-    reports: list[TheoremReport] = []
-    for name, g in corpus():
-        reports.extend(verify_graph(g, name))
-    return reports
+    return [report for name, g in corpus() for report in verify_graph(g, name)]

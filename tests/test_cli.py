@@ -16,6 +16,7 @@ from dirlap import (
     load_graph,
     save_graph,
 )
+from dirlap import cli
 from dirlap.cli import main
 
 
@@ -560,6 +561,36 @@ class TestErrorPaths:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "command, graph, message",
+        [
+            # unbalanced: ht = 5e209 on the complement of vertex 0, so ht^2 overflows
+            ("infinity",
+             build_graph([1.0] * 3, [(0, 1, 1e200), (0, 2, 1e200), (1, 0, 1e-10),
+                                     (2, 0, 1e-10), (1, 2, 1e-10), (2, 1, 1e-10)]),
+             "bound m ht^2 / 8 at m = 2e-10, ht = 5e+209"
+             " is beyond the float range"),
+            # balanced, every constant finite, but h * h = 4e400
+            ("verify",
+             build_graph([1e-200] * 3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
+             "cheeger_sandwich on {path}|omega={{0}} has a value beyond the float range"),
+            # balanced, but the Hermitian part of delta on {0, 1} sums -1e308 twice
+            ("infinity",
+             build_graph([1.0] * 3, [(0, 1, 1e308), (1, 0, 1e308), (1, 2, 1.0), (2, 1, 1.0)]),
+             "matrix has a non-finite entry"),
+        ],
+        ids=["infinity-ess-bound", "verify-sandwich", "infinity-hermitian-part"],
+    )
+    def test_numbers_beyond_the_float_range_exit_two(
+        self, tmp_path, capsys, command, graph, message
+    ):
+        path = tmp_path / "g.json"
+        save_graph(graph, path)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, str(path), "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message.format(path=path)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("cheeger", "--omega", "[1,2]", "--normalization", "beta_plus"),
@@ -807,6 +838,13 @@ class TestErrorPaths:
         assert err.startswith(f"error: cannot write {path}: ")
         # neither the target nor a temp file is left behind
         assert [p.name for p in where.rglob("*")] == ["directory"]
+
+    def test_the_parser_is_built_once(self, triangle_file, capsys):
+        cli._parser.cache_clear()
+        for command in ("check", "cheeger", "verify"):
+            assert run(capsys, command, triangle_file)[0] == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from util import loop_random_circulation, traced_peak
+from util import dense_weights, loop_random_circulation, traced_peak
 
 from dirlap import (
     InvalidArgumentError,
@@ -83,7 +83,7 @@ class TestCycle:
 class TestOpposingCycles:
     def test_asymmetric_but_balanced(self):
         g = gen_opposing_cycles(3, w_forward=2.0, w_backward=1.0)
-        B = g.weight_matrix
+        B = dense_weights(g)
         assert B[0, 1] == 2.0 and B[1, 0] == 1.0
         assert check_kirchhoff(g).satisfied
 
@@ -185,7 +185,7 @@ class TestLayeredHeavy:
 
     def test_weights_grow_geometrically(self):
         g = gen_layered_heavy(3, 3, gamma=2.0, radial=1.0)
-        B = g.weight_matrix
+        B = dense_weights(g)
         # ring weights: layer 0 has 1, layer 1 has 2, layer 2 has 4
         assert B[0, 1] == 1.0
         assert B[3, 4] == 2.0
@@ -222,7 +222,7 @@ class TestSymmetricTree:
     def test_structure(self):
         g = gen_symmetric_tree(2, 2, weight_growth=2.0)
         assert g.n == 7
-        B = g.weight_matrix
+        B = dense_weights(g)
         assert B[0, 1] == B[1, 0] == 1.0
         assert B[1, 3] == B[3, 1] == 2.0
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import bfs_hops, cycle_sums, loop_graph_from_json_obj, pi_circulation
+from util import bfs_hops, cycle_sums, dense_weights, loop_graph_from_json_obj, pi_circulation
 
 from dirlap import (
     DirectedGraph,
@@ -188,13 +188,13 @@ class TestDegreeSums:
 
     def test_beta_matches_weight_matrix(self):
         g = gen_random_circulation(7, 3, seed=11)
-        B = g.weight_matrix
+        B = dense_weights(g)
         assert np.allclose(g.beta_plus, B.sum(axis=1))
         assert np.allclose(g.beta_minus, B.sum(axis=0))
 
     def test_weight_matrix_entries(self):
         g = build_graph([1.0, 1.0], [(0, 1, 2.0), (1, 0, 3.0)])
-        B = g.weight_matrix
+        B = dense_weights(g)
         assert B[0, 1] == 2.0
         assert B[1, 0] == 3.0
         assert B[0, 0] == 0.0
@@ -388,7 +388,6 @@ def test_graph_keeps_only_its_fields_and_flows():
     assert sorted(vars(g)) == sorted(
         ["n", "measure", "edge_from", "edge_to", "edge_weight", "beta_plus", "beta_minus"]
     )
-    assert g.weight_matrix is not g.weight_matrix
 
 
 class TestJsonRoundTrip:

@@ -498,6 +498,28 @@ class TestFiltration:
 
 
 class TestInfinityProfile:
+    def test_ess_bound_beyond_the_float_range_is_rejected(self):
+        # unbalanced, so ht = 5e209 > 2 on the complement of vertex 0
+        g = build_graph([1.0] * 3, [(0, 1, 1e200), (0, 2, 1e200), (1, 0, 1e-10),
+                                    (2, 0, 1e-10), (1, 2, 1e-10), (2, 1, 1e-10)])
+        filt = build_filtration(g, 0)
+        message = r"^bound m ht\^2 / 8 at m = 2e-10, ht = 5e\+209 is beyond the float range$"
+        for call in (infinity_profile, verify_ess_bound_consistency):
+            with pytest.raises(InvalidArgumentError, match=message):
+                call(g, filt)
+
+    @pytest.mark.parametrize("m, ht", [(1.0, 1.4e154), (1e300, 1e5), (1e-300, 1e155)])
+    def test_ess_bound_rejects_each_overflow(self, m, ht):
+        # ht ** 2 raises OverflowError in the first and last; m * ht**2 is inf in the second
+        d = isoperimetric._Dirichlet(m, m, ht, ht, 1.0, 1.0)
+        with pytest.raises(InvalidArgumentError, match="beyond the float range"):
+            d.ess_lower_bound
+
+    @pytest.mark.parametrize("m, ht", [(0.3, 1.9), (1e-300, 1e154), (7.0, 1e-160), (1e308, 1.0)])
+    def test_ess_bound_rounds_as_one_expression(self, m, ht):
+        d = isoperimetric._Dirichlet(m, m, ht, ht, 1.0, 1.0)
+        assert d.ess_lower_bound.hex() == (m * ht**2 / 8.0).hex()
+
     def test_layered_heavy_end_detected(self):
         g = gen_layered_heavy(5, 3, gamma=2.0)
         prof = infinity_profile(g, build_filtration(g, 0))

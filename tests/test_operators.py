@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import pi_circulation, spectra_mismatch
+from util import cycle_sums, dense_operator, pi_circulation, spectra_mismatch
 
 from dirlap import (
     KINDS,
     EmptySubsetError,
+    InvalidArgumentError,
     KirchhoffViolatedError,
     SchemaViolationError,
     SplitMix64,
     assemble,
     build_graph,
+    corpus,
     dirichlet,
     gen_cycle,
     gen_opposing_cycles,
@@ -84,6 +88,53 @@ class TestAssemble:
         op = assemble(g, "delta_prime")
         expected = (g.beta_plus - g.beta_minus) / g.measure
         assert np.allclose(op.matrix.sum(axis=1), expected)
+
+
+def assert_matches_dense_formula(g):
+    """Every kind's matrix equals the dense-B formula byte for byte, signed
+    zeros included, or is rejected where that formula leaves the float range."""
+    for kind in KINDS:
+        expected = dense_operator(g, kind)
+        if np.isfinite(expected).all():
+            assert assemble(g, kind).matrix.tobytes() == expected.tobytes(), kind
+        else:
+            with pytest.raises(InvalidArgumentError, match="beyond the float range"):
+                assemble(g, kind)
+
+
+class TestAssembleFromEdgeList:
+    @pytest.mark.parametrize("name, g", list(corpus()))
+    def test_corpus(self, name, g):
+        assert_matches_dense_formula(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cycle_sums())
+    def test_cycle_sums(self, g):
+        assert_matches_dense_formula(g)
+
+    @pytest.mark.parametrize("n, seed", [(5, 1), (23, 4), (60, 2)])
+    def test_pi_circulations(self, n, seed):
+        assert_matches_dense_formula(pi_circulation(n, seed))
+
+    def test_unbalanced_one_way_and_two_way_pairs(self):
+        # vertex 3's huge measure underflows the ratios of its row to zero
+        g = build_graph(
+            [1.0, 2.0, 0.5, 1e300],
+            [(0, 1, 1.5), (1, 0, 0.25), (1, 2, math.pi), (2, 3, 1e-3), (3, 0, 1e-300),
+             (0, 2, 2.0), (2, 0, 5.0), (3, 1, 5e-324)],
+        )
+        assert_matches_dense_formula(g)
+        # 0 - b / w with b / w underflowed is +0.0, not -0.0
+        zero = assemble(g, "delta").matrix[3, 0]
+        assert zero == 0.0 and not np.signbit(zero)
+
+    def test_pair_sum_beyond_the_float_range(self):
+        # b(0, 1) + b(1, 0) overflows in the h kinds only
+        g = build_graph([1.0] * 3, [(0, 1, 1e308), (1, 0, 1e308), (1, 2, 1.0), (2, 0, 1.0)])
+        assert_matches_dense_formula(g)
+        assert np.isfinite(assemble(g, "delta").matrix).all()
+        with pytest.raises(InvalidArgumentError):
+            assemble(g, "normalized_h")
 
 
 class TestAdjointness:

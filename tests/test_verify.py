@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -15,6 +16,7 @@ from dirlap import (
     DirlapError,
     EmptyComplementError,
     Filtration,
+    InvalidArgumentError,
     KirchhoffViolatedError,
     Operator,
     SplitMix64,
@@ -87,6 +89,24 @@ class TestReportSemantics:
         small = _report("t", "i", [(0.0, 1.0)])
         big = _report("t", "i", [(0.0, 1e6)])
         assert big.tolerance > small.tolerance
+
+    @pytest.mark.parametrize(
+        "pairs, tolerance",
+        [
+            ([(math.inf, 1.0)], None),
+            ([(0.0, 1.0), (1.0, math.inf)], 0.0),
+            ([(math.inf, math.inf)], 0.0),
+            ([(-1e308, 1e308)], 0.0),
+            ([(0.0, 1.0)], math.inf),
+            ([(0.0, 1.0)], math.nan),
+        ],
+        ids=["lhs", "rhs", "margin-nan", "margin-overflow", "tolerance", "tolerance-nan"],
+    )
+    def test_rejects_values_beyond_the_float_range(self, pairs, tolerance):
+        with pytest.raises(
+            InvalidArgumentError, match=r"^t on i\|x has a value beyond the float range$"
+        ):
+            _report("t", "i|x", pairs, tolerance)
 
     def test_json_obj_round_trips(self):
         r = _report("t", "inst", [(0.0, 1.0)])
@@ -448,7 +468,8 @@ class TestEssConsistency:
         verify_graph(gen_random_circulation(23, 4, seed=4))
         # 8 selected subsets, whose 3 filtration complements the chain reads
         assert len(solved) == len(set(solved)) == 8
-        assert sorted(kinds) == ["delta", "delta", "normalized_delta"]
+        # the Green check reads verify_graph's own delta
+        assert kinds == ["delta", "normalized_delta"]
 
 
 class TestVerifyGraph:
@@ -634,6 +655,12 @@ class TestVerifyGraph:
         assert "two|omega={0,1,2}" not in bounds and "two|omega={3,4,5}" not in bounds
         # the isoperimetric checks keep every subset of up to 6 vertices
         assert [r.theorem_id for r in reports].count("cheeger_sandwich") == 2**6 - 1
+
+    def test_sandwich_beyond_the_float_range_is_rejected(self):
+        # h = 2e200, M = 1e200 and nu = 5e199 are finite; h * h and M * nu are not
+        g = build_graph([1e-200] * 3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        with pytest.raises(InvalidArgumentError, match=r"^cheeger_sandwich on tiny\|omega=\{0\}"):
+            verify_graph(g, "tiny")
 
     def test_instance_names_carry_graph_name(self):
         reports = verify_graph(gen_cycle(3), "tri")

@@ -37,6 +37,33 @@ from dirlap import (
 from dirlap.verify import _FUJIWARA_SEED, _GREEN_SEED, _omega_tag, _report
 
 
+def dense_weights(g):
+    """The dense weight matrix B: B[x, y] = b(x, y) on the edges, filled
+    one edge at a time, and zero elsewhere."""
+    B = np.zeros((g.n, g.n))
+    for u, v, w in g.edges():
+        B[u, v] = w
+    return B
+
+
+def dense_operator(g, kind):
+    """Reference assemble matrix: the dense formula diag(beta_plus / w) - B / w
+    over the whole matrix, with B.T for the prime kinds and twice the
+    diagonal minus (B + B.T) / w for the h kinds; w is beta_plus for the
+    normalized kinds and the measure otherwise. Entries beyond the float
+    range come out as inf or nan."""
+    B = dense_weights(g)
+    w = g.beta_plus if kind.startswith("normalized_") else g.measure
+    base = kind.removeprefix("normalized_")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.diag(g.beta_plus / w)
+        if base == "delta":
+            return diag - B / w[:, None]
+        if base == "delta_prime":
+            return diag - B.T / w[:, None]
+        return 2.0 * diag - (B + B.T) / w[:, None]
+
+
 def brute_cheeger(g, omega, normalization):
     """Reference Cheeger constant: enumerate subsets with itertools and sum
     boundary weights straight off the edge list."""
